@@ -99,14 +99,30 @@ class BumpPoly:
         b, fac = self._bump_factor(z)
         return fac * np.conj(z - self.center) * self.poly(z) + b * self.poly.dz()(z)
 
+    def _sample_on_support(self, fn, grid: Grid) -> Field:
+        """Evaluate ``fn`` only at nodes inside the support disk; zero elsewhere.
+
+        The mask uses the same arithmetic as ``_s`` and ``fn`` acts node by
+        node, so inside the disk the result is bit for bit ``fn(grid.nodes)``;
+        outside it is +0 where ``fn`` gives 0 * p(z), a zero of either sign.
+        """
+        x = grid.axis
+        dx = (x - self.center.real)[:, None]
+        dy = (x - self.center.imag)[None, :]
+        inside = (dx**2 + dy**2) / self.rho**2 < 1.0
+        X, Y = np.broadcast_arrays(x[:, None], x[None, :])
+        out = np.zeros((grid.n, grid.n), dtype=complex)
+        out[inside] = fn(X[inside] + 1j * Y[inside])
+        return Field(grid, out)
+
     def sample(self, grid: Grid) -> Field:
-        return Field(grid, self(grid.nodes))
+        return self._sample_on_support(self, grid)
 
     def sample_dbar(self, grid: Grid) -> Field:
-        return Field(grid, self.dbar(grid.nodes))
+        return self._sample_on_support(self.dbar, grid)
 
     def sample_dz(self, grid: Grid) -> Field:
-        return Field(grid, self.dz(grid.nodes))
+        return self._sample_on_support(self.dz, grid)
 
 
 def random_suite(count: int, seed: int, max_center: float = 0.9,

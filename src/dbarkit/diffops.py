@@ -35,13 +35,12 @@ def _wavenumbers(grid):
 
 def _fd4_d1(a: np.ndarray, h: float, axis: int) -> np.ndarray:
     """4th-order centered first derivative; outer 2 lines left as garbage."""
-    out = np.zeros_like(a)
     p1 = np.roll(a, -1, axis=axis)
     m1 = np.roll(a, 1, axis=axis)
     p2 = np.roll(a, -2, axis=axis)
     m2 = np.roll(a, 2, axis=axis)
-    out = (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * h)
-    return out
+    return (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * h)
+
 
 def _fd4_d2(a: np.ndarray, h: float, axis: int) -> np.ndarray:
     """4th-order centered second derivative."""

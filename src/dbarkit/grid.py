@@ -23,6 +23,8 @@ from .errors import (
 )
 
 FLOAT_FMT = "%.17g"
+# nodes per write in a streamed CSV dump (about 90 kB of text)
+CSV_CHUNK_ROWS = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -173,13 +175,28 @@ def warn_boundary_mass(v: Field, threshold: float = 1e-14, context: str = "field
     return m
 
 
-def field_to_csv(v: Field) -> str:
-    """CSV dump: header re,im,val_re,val_im, one row per node in row-major order."""
-    z = v.grid.nodes.reshape(-1)
+def write_field_csv(v: Field, fh) -> None:
+    """Write the CSV dump of ``v`` to the text stream ``fh``.
+
+    Header re,im,val_re,val_im, then one row per node in row-major order.
+    Rows are formatted and written ``CSV_CHUNK_ROWS`` at a time, so the dump
+    never holds more than one chunk of text in memory.
+    """
+    n = v.grid.n
+    x = v.grid.axis
     vals = v.flat
-    buf = io.StringIO()
-    buf.write("re,im,val_re,val_im\n")
     fmt = ",".join([FLOAT_FMT] * 4) + "\n"
-    for zz, vv in zip(z, vals):
-        buf.write(fmt % (zz.real, zz.imag, vv.real, vv.imag))
+    fh.write("re,im,val_re,val_im\n")
+    for start in range(0, n * n, CSV_CHUNK_ROWS):
+        stop = min(start + CSV_CHUNK_ROWS, n * n)
+        j, k = np.divmod(np.arange(start, stop), n)
+        chunk = vals[start:stop]
+        rows = zip(x[j].tolist(), x[k].tolist(), chunk.real.tolist(), chunk.imag.tolist())
+        fh.write("".join([fmt % row for row in rows]))
+
+
+def field_to_csv(v: Field) -> str:
+    """The CSV dump of ``v`` (see ``write_field_csv``) as one string."""
+    buf = io.StringIO()
+    write_field_csv(v, buf)
     return buf.getvalue()

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbarkit import build_grid, integrate, sample, weighted_norm_sq
-from dbarkit.bumps import BumpPoly, Poly2
+from dbarkit.bumps import BumpPoly, Poly2, random_suite
 from dbarkit.diffops import dbar
 from dbarkit.errors import InvalidArgumentError, InvalidWeightError, SamplingError
-from dbarkit.grid import Field, field_to_csv
+from dbarkit.grid import CSV_CHUNK_ROWS, FLOAT_FMT, Field, field_to_csv, write_field_csv
 
 
 def test_build_grid_rejects_small_n():
@@ -143,3 +143,39 @@ def test_csv_dump_format_and_determinism():
     # 17 significant digits round-trip
     z = complex(float(first[2]), float(first[3]))
     assert z == v.values[0, 0]
+
+
+@pytest.mark.parametrize("radius,n", [(6.0, 128), (2.0, 64)])
+def test_bump_sampling_matches_full_grid_evaluation(radius, n):
+    g = build_grid(radius, n)
+    suite = random_suite(10, seed=7)
+    if radius == 2.0:
+        # the small square cuts through some supports
+        assert any(max(abs(m.center.real), abs(m.center.imag)) + m.rho > radius
+                   for m in suite)
+    z = g.nodes
+    for m in suite:
+        assert np.array_equal(m.sample(g).values, m(z))
+        assert np.array_equal(m.sample_dbar(g).values, m.dbar(z))
+        assert np.array_equal(m.sample_dz(g).values, m.dz(z))
+
+
+def _csv_rows_reference(v):
+    """Row-by-row formatting over the full node array."""
+    fmt = ",".join([FLOAT_FMT] * 4) + "\n"
+    lines = ["re,im,val_re,val_im\n"]
+    for zz, vv in zip(v.grid.nodes.reshape(-1), v.flat):
+        lines.append(fmt % (zz.real, zz.imag, vv.real, vv.imag))
+    return "".join(lines)
+
+
+def test_write_field_csv_streams_the_same_bytes(tmp_path):
+    g = build_grid(3.0, 40)
+    assert g.node_count > CSV_CHUNK_ROWS  # more than one chunk, the last one partial
+    v = sample(lambda z: z**2 * np.exp(-np.abs(z) ** 2) + 1j / 3, g)
+    path = tmp_path / "v.csv"
+    with path.open("w") as fh:
+        write_field_csv(v, fh)
+    text = path.read_text()
+    assert text == field_to_csv(v)
+    assert text == _csv_rows_reference(v)

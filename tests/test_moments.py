@@ -91,6 +91,31 @@ def test_fourier2_dynamic_range_guard(gaussian_field):
         fourier2(gaussian_field, 6.0j, 0.0)
 
 
+def _fourier2_direct(f, xi, eta):
+    """Reference quadrature: the kernel evaluated at all n^2 nodes."""
+    Z = f.grid.nodes
+    h = f.grid.spacing
+    return h * h * np.sum(np.exp(-1j * (xi * Z.real + eta * Z.imag)) * f.values)
+
+
+@pytest.mark.parametrize("datum", ["compliant", "gaussian"])
+def test_diagonal_matches_per_sample_quadrature(grid_default, member, gaussian_field, datum):
+    f = member.sample_dbar(grid_default) if datum == "compliant" else gaussian_field
+    ds = diagonal_restriction(f)
+    ref = np.array([_fourier2_direct(f, xi, 1j * xi) for xi in ds.xi_samples])
+    assert np.max(np.abs(ds.values - ref)) < 1e-12
+    for xi in ds.xi_samples[::8]:
+        assert abs(fourier2(f, xi, 1j * xi) - _fourier2_direct(f, xi, 1j * xi)) < 1e-12
+
+
+def test_diagonal_dynamic_range_guard_covers_every_sample(gaussian_field):
+    # at R = 6, xi = 3 + 3i has growth 6 (|Im xi| + |Im i xi|) = 36 > 30
+    with pytest.raises(DynamicRangeError, match="growth exponent 36.0 exceeds cap"):
+        diagonal_restriction(gaussian_field, xi_samples=[0.0, 1.0, 3.0 + 3.0j, 0.5j])
+    # xi = 3i stays under the cap: i xi = -3 is real, so the growth is 18
+    diagonal_restriction(gaussian_field, xi_samples=[3.0j])
+
+
 def test_diagonal_vanishes_for_compliant_datum(grid_fine, compliant_fine):
     ds = diagonal_restriction(compliant_fine)
     h = grid_fine.spacing
