@@ -147,26 +147,3 @@ def random_suite(count: int, seed: int, max_center: float = 0.9,
         suite.append(BumpPoly(c, rho, Poly2.from_dict(coeffs)))
     return suite
 
-
-def radial_window(r_plateau: float, r_support: float):
-    """C-infinity cutoff: exactly 1 for |z| <= r_plateau, 0 for |z| >= r_support.
-
-    Useful for plateau-style operator tests; no closed-form derivatives.
-    """
-    if not 0 < r_plateau < r_support:
-        raise ValueError("need 0 < r_plateau < r_support")
-
-    def g(t):
-        out = np.zeros_like(t)
-        m = t > 0
-        out[m] = np.exp(-1.0 / t[m])
-        return out
-
-    def window(z):
-        r = np.abs(np.asarray(z, dtype=complex))
-        t = (r_support - r) / (r_support - r_plateau)
-        gt = g(np.clip(t, 0.0, 1.0))
-        g1t = g(np.clip(1.0 - t, 0.0, 1.0))
-        return gt / (gt + g1t)
-
-    return window

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass
@@ -98,6 +100,15 @@ def _merge_validate(base: dict, override: dict, path="") -> dict:
     return out
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_positive_real(x) -> bool:
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and math.isfinite(x) and x > 0)
+
+
 def load_config(path=None, overrides=None) -> RunConfig:
     raw = DEFAULT_CONFIG
     if path is not None:
@@ -113,17 +124,26 @@ def load_config(path=None, overrides=None) -> RunConfig:
         raw = _merge_validate(raw, overrides)
     tol = raw["tolerances"]
     for name, val in tol.items():
-        if not val > 0:
-            raise ConfigError(f"tolerance {name} must be positive, got {val}")
-    if raw["grid"]["n"] < 8:
-        raise ConfigError(f"grid.n must be >= 8, got {raw['grid']['n']}")
+        if not _is_positive_real(val):
+            raise ConfigError(f"tolerance {name} must be a finite positive number, got {val!r}")
+    n, radius = raw["grid"]["n"], raw["grid"]["radius"]
+    if not (_is_int(n) and n >= 8):
+        raise ConfigError(f"grid.n must be an integer >= 8, got {n!r}")
+    if not _is_positive_real(radius):
+        raise ConfigError(f"grid.radius must be a finite positive number, got {radius!r}")
+    if not _is_int(raw["seed"]):
+        raise ConfigError(f"seed must be an integer, got {raw['seed']!r}")
+    try:
+        custom_weight(raw["weight"])
+    except (ValueError, TypeError) as e:
+        raise ConfigError(f"invalid weight {raw['weight']!r}: {e}") from e
     if raw["scheme"] not in ("spectral", "fd4"):
         raise ConfigError(f"unknown scheme {raw['scheme']!r}")
     if raw["output"]["format"] not in ("json", "csv"):
         raise ConfigError(f"unknown output format {raw['output']['format']!r}")
     return RunConfig(
-        radius=float(raw["grid"]["radius"]),
-        n=int(raw["grid"]["n"]),
+        radius=float(radius),
+        n=int(n),
         weight=raw["weight"],
         scheme=raw["scheme"],
         identity_rel=float(tol["identity_rel"]),
@@ -137,11 +157,15 @@ def load_config(path=None, overrides=None) -> RunConfig:
 
 
 def _check(name, passes, measured, bound, tolerance, runtime_s, informational=False):
-    """One report entry; ``runtime_s`` is the duration of the computation behind it."""
+    """One report entry; ``runtime_s`` is the duration of the computation behind it.
+
+    ``measured`` is None when the computation produced no number; the
+    pipeline's details say why.
+    """
     return {
         "name": name,
         "passes": bool(passes),
-        "measured": float(measured),
+        "measured": None if measured is None else float(measured),
         "bound": float(bound),
         "tolerance": float(tolerance),
         "runtime_ms": float(runtime_s * 1e3),
@@ -287,7 +311,7 @@ def pipe_curvature(cfg: RunConfig):
         w = custom_weight(cfg.weight)
         rep = curvature_margin(w, grid)
     except WeightInvariantViolationError as e:
-        return [_check("curvature-margin", False, float("inf"), 0.0, 1e-9,
+        return [_check("curvature-margin", False, None, 0.0, 1e-9,
                        time.perf_counter() - t0)], {
             "error": "weight-invariant-violation", "detail": str(e)}
     checks = [_check("curvature-margin", rep.passes, rep.min_margin, -1e-9, 1e-9,
@@ -409,9 +433,6 @@ def main(argv=None) -> int:
             overrides["grid"]["n"] = args.grid_n
         if args.grid_radius is not None:
             overrides["grid"]["radius"] = args.grid_radius
-    if args.weight is not None:
-        w = args.weight
-        overrides["weight"] = json.loads(w) if w.strip().startswith("{") else {"name": w}
     if args.scheme is not None:
         overrides["scheme"] = args.scheme
     if args.out is not None or args.format is not None:
@@ -425,15 +446,23 @@ def main(argv=None) -> int:
     if args.sequential:
         overrides["sequential"] = True
     try:
+        if args.weight is not None:
+            w = args.weight
+            overrides["weight"] = json.loads(w) if w.strip().startswith("{") else {"name": w}
         cfg = load_config(args.config, overrides)
         result = run(cfg, args.subcommand)
+    except json.JSONDecodeError as e:
+        # load_config reports its own file's parse errors as ConfigError
+        print(f"config error: cannot parse --weight: {e}", file=sys.stderr)
+        return 2
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     emit_report(result, cfg)
     for c in result["checks"]:
         tag = "PASS" if c["passes"] else ("info" if c["informational"] else "FAIL")
-        print(f"[{tag}] {c['name']}: measured={c['measured']:.6g} bound={c['bound']:.6g}")
+        measured = "none" if c["measured"] is None else f"{c['measured']:.6g}"
+        print(f"[{tag}] {c['name']}: measured={measured} bound={c['bound']:.6g}")
     print(f"overall: {'PASS' if result['overall'] else 'FAIL'}")
     return 0 if result["overall"] else 1
 

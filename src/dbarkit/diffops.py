@@ -33,6 +33,12 @@ def _wavenumbers(grid):
     return 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)
 
 
+def dbar_symbol(grid) -> np.ndarray:
+    """Fourier symbol (i k_x - k_y)/2 of dbar on the periodic grid; a fresh array."""
+    k = _wavenumbers(grid)
+    return 0.5 * (1j * k[:, None] - k[None, :])
+
+
 def _fd4_d1(a: np.ndarray, h: float, axis: int) -> np.ndarray:
     """4th-order centered first derivative; outer 2 lines left as garbage."""
     p1 = np.roll(a, -1, axis=axis)
@@ -64,9 +70,7 @@ def dbar(v: Field, scheme: str = "spectral") -> Field:
     _check_scheme(scheme)
     g = v.grid
     if scheme == "spectral":
-        k = _wavenumbers(g)
-        KX, KY = np.meshgrid(k, k, indexing="ij")
-        out = np.fft.ifft2(0.5 * (1j * KX - KY) * np.fft.fft2(v.values))
+        out = np.fft.ifft2(dbar_symbol(g) * np.fft.fft2(v.values))
         return Field(g, out, v.zero_band)
     h = g.spacing
     out = 0.5 * (_fd4_d1(v.values, h, 0) + 1j * _fd4_d1(v.values, h, 1))
@@ -84,8 +88,7 @@ def laplacian_hat(v: Field, scheme: str = "spectral") -> Field:
     g = v.grid
     if scheme == "spectral":
         k = _wavenumbers(g)
-        KX, KY = np.meshgrid(k, k, indexing="ij")
-        out = np.fft.ifft2(-0.25 * (KX**2 + KY**2) * np.fft.fft2(v.values))
+        out = np.fft.ifft2(-0.25 * (k[:, None] ** 2 + k[None, :] ** 2) * np.fft.fft2(v.values))
         return Field(g, out, v.zero_band)
     h = g.spacing
     out = 0.25 * (_fd4_d2(v.values, h, 0) + _fd4_d2(v.values, h, 1))

@@ -103,9 +103,6 @@ class Field:
     def conj(self) -> "Field":
         return Field(self.grid, np.conj(self.values), self.zero_band)
 
-    def abs2(self) -> "Field":
-        return Field(self.grid, (self.values * np.conj(self.values)).real + 0j, self.zero_band)
-
 
 def _vals(x):
     return x.values if isinstance(x, Field) else x

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffops
-from .errors import DynamicRangeError
-from .grid import Field, Grid, sample, warn_boundary_mass, weighted_norm_sq
+from .grid import Field, Grid, warn_boundary_mass, weighted_norm_sq
 from .weights import Weight
 
 REL_ERR_FLOOR = 1e-30
@@ -85,24 +84,14 @@ def verify_norm_identity(v: Field, w: Weight, scheme: str = "spectral",
     return IdentityReport(lhs, rhs, abs_err, rel_err, scheme, rel_err < rel_tol)
 
 
-def _guard_exp(expo: np.ndarray, context: str):
-    if np.max(expo) > 700.0:
-        bad = int(np.argmax(expo.reshape(-1)))
-        raise DynamicRangeError(f"{context}: exponent overflow at flat node {bad}", node_index=bad)
-
-
 def to_dual_picture(u: Field, w: Weight) -> Field:
     """v = e^{phi} u."""
-    expo = np.real(np.asarray(w.phi(u.grid.nodes))) * np.ones((u.grid.n, u.grid.n))
-    _guard_exp(expo, "to_dual_picture")
-    return Field(u.grid, np.exp(expo) * u.values, u.zero_band)
+    return Field(u.grid, w.exp_phi(u.grid.nodes) * u.values, u.zero_band)
 
 
 def from_dual_picture(v: Field, w: Weight) -> Field:
     """u = e^{-phi} v; exact inverse of to_dual_picture."""
-    expo = -np.real(np.asarray(w.phi(v.grid.nodes))) * np.ones((v.grid.n, v.grid.n))
-    _guard_exp(expo, "from_dual_picture")
-    return Field(v.grid, np.exp(expo) * v.values, v.zero_band)
+    return Field(v.grid, w.exp_phi(v.grid.nodes, -1.0) * v.values, v.zero_band)
 
 
 def kernel_check(g, w: Weight, grid: Grid, scheme: str = "spectral") -> float:
@@ -111,9 +100,8 @@ def kernel_check(g, w: Weight, grid: Grid, scheme: str = "spectral") -> float:
     A small residual certifies that k = e^{-phi} conj(g) lies in ker T*,
     which happens exactly when g is entire (with enough decay of g e^{-phi}).
     """
-    expo = -np.real(np.asarray(w.phi(grid.nodes))) * np.ones((grid.n, grid.n))
-    _guard_exp(expo, "kernel_check")
-    k = Field(grid, np.exp(expo) * np.conj(np.asarray(g(grid.nodes), dtype=complex) * np.ones((grid.n, grid.n))))
+    z = grid.nodes
+    k = Field(grid, w.exp_phi(z, -1.0) * np.conj(np.asarray(g(z), dtype=complex) * np.ones((grid.n, grid.n))))
     warn_boundary_mass(k, context="kernel_check input")
     r = apply_Tstar(k, w, scheme)
     return diffops.interior_max(r, extra_band=2)

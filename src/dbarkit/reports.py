@@ -10,8 +10,8 @@ from .errors import InvalidArgumentError
 
 
 def _fmt_float(x: float) -> str:
-    if x != x:
-        raise InvalidArgumentError("cannot serialize NaN")
+    if not np.isfinite(x):
+        raise InvalidArgumentError(f"cannot serialize non-finite float {x}")
     s = "%.17g" % x
     # bare integers still need to parse as JSON numbers; that is fine as-is
     return s
@@ -31,7 +31,7 @@ def _escape(s: str) -> str:
     return "".join(out)
 
 
-def canonical_json(obj, indent: int = 0) -> str:
+def canonical_json(obj) -> str:
     """JSON text with sorted keys and reproducible float formatting."""
     if obj is None:
         return "null"

@@ -1,19 +1,17 @@
 """Solution of dbar u = f and verification of the weighted bounds.
 
-Two solution paths:
+The solver inverts the dbar symbol on the periodic grid with the zero mode
+removed, followed by an additive-constant calibration on the boundary ring.
+For data whose moments all vanish the decaying solution is identically zero
+outside the datum's support disk, so the calibration and the periodization
+are both exact to rounding; bound checks need the solution to near machine
+accuracy.
 
-* ``spectral`` -- inversion of the dbar symbol on the periodic grid with the
-  zero mode removed, followed by an additive-constant calibration on the
-  boundary ring.  For data whose moments all vanish the decaying solution is
-  identically zero outside the datum's support disk, so the calibration and
-  the periodization are both exact to rounding; this path is the one used
-  for bound checks, which need the solution to near machine accuracy.
-* ``cauchy`` -- quadrature of the Cauchy transform
-  u(z) = (1/pi) integral f(w)/(z - w) dA(w), with the cell containing the
-  target contributing zero (the kernel integrates to zero over any region
-  symmetric about the target).  First-order-plus accuracy, measured by the
-  convergence tests; available as a dense sum (reference) and as a
-  zero-padded FFT convolution that matches the dense sum to rounding.
+``cauchy_transform`` is the independent quadrature of
+u(z) = (1/pi) integral f(w)/(z - w) dA(w), with the cell containing the
+target contributing zero (the kernel integrates to zero over any region
+symmetric about the target), evaluated as a zero-padded FFT convolution.
+First-order-plus accuracy, measured by the convergence tests.
 
 The growing-weight bound (constant 1/2) and the classical bound via the
 Fock-space projection are evaluated on the datum's support disk, where both
@@ -29,9 +27,9 @@ import numpy as np
 
 from . import diffops
 from .errors import DynamicRangeError, InvalidArgumentError
-from .grid import Field, Grid
+from .grid import Field
 from .moments import moments
-from .weights import Weight, curvature_margin
+from .weights import EXP_CAP, Weight, curvature_margin
 
 SUPPORT_FLOOR = 1e-13
 
@@ -48,7 +46,6 @@ class SolutionReport:
     h2_passes: bool
     tail_mass: float
     support_radius: float
-    method: str
 
     def to_dict(self):
         return {
@@ -61,7 +58,7 @@ class SolutionReport:
             "h2_passes": self.h2_passes,
             "tail_mass": self.tail_mass,
             "support_radius": self.support_radius,
-            "method": self.method,
+            "method": "spectral",
         }
 
 
@@ -92,28 +89,11 @@ def support_radius(f: Field, floor: float = SUPPORT_FLOOR) -> float:
     return float(np.max(r[sig]))
 
 
-def cauchy_transform(f: Field, targets: Grid | None = None, method: str = "auto") -> Field:
+def cauchy_transform(f: Field) -> Field:
     """Quadrature of u(z) = (1/pi) integral f(w)/(z-w) dA(w), diagonal cell -> 0."""
-    src = f.grid
-    if targets is None:
-        targets = src
-    same = targets == src
-    if method == "auto":
-        method = "fft" if same else "dense"
-    if method == "fft":
-        if not same:
-            raise InvalidArgumentError("fft path requires targets == source grid")
-        return _cauchy_fft(f)
-    if method == "dense":
-        return _cauchy_dense(f, targets)
-    raise InvalidArgumentError(f"unknown cauchy method {method!r}")
-
-
-def _cauchy_fft(f: Field) -> Field:
     n, h = f.grid.n, f.grid.spacing
     idx = np.arange(-(n - 1), n) * h
-    DX, DY = np.meshgrid(idx, idx, indexing="ij")
-    D = DX + 1j * DY
+    D = idx[:, None] + 1j * idx[None, :]
     K = np.zeros_like(D)
     nz = D != 0
     K[nz] = h * h / (pi * D[nz])
@@ -126,28 +106,11 @@ def _cauchy_fft(f: Field) -> Field:
     return Field(f.grid, conv[n - 1 : 2 * n - 1, n - 1 : 2 * n - 1])
 
 
-def _cauchy_dense(f: Field, targets: Grid, chunk: int = 512) -> Field:
-    h = f.grid.spacing
-    src = f.grid.nodes.reshape(-1)
-    vals = f.flat * (h * h / pi)
-    tgt = targets.nodes.reshape(-1)
-    out = np.empty(tgt.shape, dtype=complex)
-    for i in range(0, tgt.size, chunk):
-        d = tgt[i : i + chunk, None] - src[None, :]
-        invd = np.zeros_like(d)
-        nz = d != 0
-        invd[nz] = 1.0 / d[nz]
-        out[i : i + chunk] = invd @ vals
-    return Field(targets, out.reshape(targets.n, targets.n))
-
-
 def dbar_invert_spectral(f: Field) -> Field:
     """Invert the dbar symbol on the periodic grid; calibrate the constant so
     the solution vanishes on the boundary ring (exact for compliant data)."""
     g = f.grid
-    k = 2.0 * np.pi * np.fft.fftfreq(g.n, d=g.spacing)
-    KX, KY = np.meshgrid(k, k, indexing="ij")
-    sym = 0.5 * (1j * KX - KY)
+    sym = diffops.dbar_symbol(g)
     sym[0, 0] = 1.0
     U = np.fft.fft2(f.values) / sym
     U[0, 0] = 0.0
@@ -157,30 +120,20 @@ def dbar_invert_spectral(f: Field) -> Field:
     return Field(g, u)
 
 
-def _disk_weighted_sum(vals2: np.ndarray, weight: np.ndarray, grid: Grid, r_max: float) -> float:
-    h = grid.spacing
-    mask = np.abs(grid.nodes) <= r_max
-    return float(h * h * np.sum(vals2[mask] * weight[mask]))
-
-
-def solve_dbar(f: Field, w: Weight, J: int = 10, method: str = "spectral",
-               moment_rel_tol: float = 1e-4, slack: float = 0.01) -> SolutionReport:
+def solve_dbar(f: Field, w: Weight, J: int = 10, moment_rel_tol: float = 1e-4,
+               slack: float = 0.01) -> SolutionReport:
     """Solve dbar u = f and evaluate the growing-weight bound with constant 1/2.
 
     The bound integrals run over the datum's support disk (plus a 2h margin);
     for compliant data the decaying solution vanishes identically outside that
     disk, so the restriction is exact while avoiding amplification of
-    rounding noise by e^{2 phi} at the corners of the truncation square.
+    rounding noise by e^{2 phi} at the corners of the truncation square;
+    e^{2 phi} is evaluated, and guarded against overflow, on that disk only.
     When the normalized moments exceed ``moment_rel_tol`` the report carries
     the non-orthogonal-datum flag and the bound verdict is informational only.
     """
     g = f.grid
-    if method == "spectral":
-        u = dbar_invert_spectral(f)
-    elif method == "cauchy":
-        u = cauchy_transform(f)
-    else:
-        raise InvalidArgumentError(f"unknown solve method {method!r}")
+    u = dbar_invert_spectral(f)
 
     res = diffops.dbar(u, "spectral") - f
     residual_inf = diffops.interior_max(res, extra_band=2)
@@ -194,22 +147,18 @@ def solve_dbar(f: Field, w: Weight, J: int = 10, method: str = "spectral",
     moment_rel_max = float(np.max(np.abs(mv.m) / (scale * max(l1, 1e-300))))
     flagged = moment_rel_max > moment_rel_tol
 
-    r_int = r_sup + 2.0 * h
-    phivals = np.real(np.asarray(w.phi(g.nodes))) * np.ones((g.n, g.n))
-    expo = 2.0 * phivals
-    expo_max = float(np.max(expo[np.abs(g.nodes) <= r_int])) if np.any(np.abs(g.nodes) <= r_int) else 0.0
-    if expo_max > 700.0:
-        raise DynamicRangeError("solve_dbar: e^{2 phi} overflows on the support disk")
-    e2phi = np.exp(np.minimum(expo, 700.0))
-    lap = w.sample_lap_hat(g)
-    u2 = u.values.real**2 + u.values.imag**2
-    f2 = f.values.real**2 + f.values.imag**2
-    h2_lhs = 2.0 * _disk_weighted_sum(u2, e2phi * lap, g, r_int)
-    h2_rhs = _disk_weighted_sum(f2, e2phi, g, r_int)
+    z = g.nodes
+    disk = np.abs(z) <= r_sup + 2.0 * h
+    e2phi = w.exp_phi(z[disk], 2.0)
+    lap = w.sample_lap_hat(g)[disk]
+    ud, fd = u.values[disk], f.values[disk]
+    u2 = ud.real**2 + ud.imag**2
+    f2 = fd.real**2 + fd.imag**2
+    h2_lhs = 2.0 * float(h * h * np.sum(u2 * (e2phi * lap)))
+    h2_rhs = float(h * h * np.sum(f2 * e2phi))
     h2_passes = h2_lhs <= h2_rhs * (1.0 + slack)
 
-    outside = np.abs(g.nodes) > r_int
-    tail_mass = float(np.max(np.abs(u.values[outside]))) if np.any(outside) else 0.0
+    tail_mass = float(np.max(np.abs(u.values[~disk]))) if not np.all(disk) else 0.0
 
     return SolutionReport(
         u=u,
@@ -222,7 +171,6 @@ def solve_dbar(f: Field, w: Weight, J: int = 10, method: str = "spectral",
         h2_passes=h2_passes,
         tail_mass=tail_mass,
         support_radius=r_sup,
-        method=method,
     )
 
 
@@ -234,7 +182,7 @@ def fock_bergman_project(u: Field, terms: int = 120) -> Field:
     past k ~ (support radius)^2 for data concentrated inside the grid.
     """
     g = u.grid
-    if 2.0 * g.radius**2 > 700.0:
+    if 2.0 * g.radius**2 > EXP_CAP:
         raise DynamicRangeError("fock_bergman_project: kernel exponent exceeds dynamic range")
     Z = g.nodes
     h = g.spacing
@@ -252,25 +200,7 @@ def fock_bergman_project(u: Field, terms: int = 120) -> Field:
     return Field(g, out)
 
 
-def fock_bergman_project_dense(u: Field) -> Field:
-    """Literal kernel quadrature (1/pi) sum e^{z conj(w)} u(w) e^{-|w|^2} h^2.
-
-    O(N^2) memory and time; cross-check path for small grids only.
-    """
-    g = u.grid
-    if g.n > 128:
-        raise InvalidArgumentError("dense projection is a cross-check path; use n <= 128")
-    if 2.0 * g.radius**2 > 700.0:
-        raise DynamicRangeError("fock_bergman_project: kernel exponent exceeds dynamic range")
-    z = g.nodes.reshape(-1)
-    h = g.spacing
-    src = u.flat * np.exp(-np.abs(z) ** 2) * (h * h / pi)
-    K = np.exp(z[:, None] * np.conj(z)[None, :])
-    return Field(g, (K @ src).reshape(g.n, g.n))
-
-
-def check_hormander_bound(f: Field, w: Weight, slack: float = 0.01,
-                          method: str = "spectral") -> BoundReport:
+def check_hormander_bound(f: Field, w: Weight, slack: float = 0.01) -> BoundReport:
     """Classical bound for the minimal-norm solution under the Fock weight.
 
     u_min = u - P u where P projects onto entire functions in the
@@ -280,7 +210,7 @@ def check_hormander_bound(f: Field, w: Weight, slack: float = 0.01,
     if w.name != "fock" or abs(w.params.get("t", 0.0) - 1.0) > 1e-15:
         raise InvalidArgumentError("check_hormander_bound supports the fock(1) weight only")
     g = f.grid
-    rep = solve_dbar(f, w, method=method)
+    rep = solve_dbar(f, w)
     u = rep.u
     Pu = fock_bergman_project(u)
     umin = u - Pu
@@ -314,10 +244,7 @@ def uniqueness_probe(u: Field, w: Weight, p: int, radii=None,
     Z = g.nodes
     h = g.spacing
     diff2 = (amplitude ** 2) * np.abs(Z ** p) ** 2
-    expo = 2.0 * np.real(np.asarray(w.phi(Z))) * np.ones((g.n, g.n))
-    if np.max(expo) > 700.0:
-        raise DynamicRangeError("uniqueness_probe: e^{2 phi} overflows on the grid")
-    wgt = np.exp(expo) * w.sample_lap_hat(g)
+    wgt = w.exp_phi(Z, 2.0) * w.sample_lap_hat(g)
     r = np.abs(Z)
     energies = [float(h * h * np.sum((diff2 * wgt)[r < rr])) for rr in radii]
     first = energies[0]

@@ -18,8 +18,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import diffops
-from .errors import InvalidArgumentError, WeightInvariantViolationError
+from .errors import DynamicRangeError, InvalidArgumentError, WeightInvariantViolationError
 from .grid import Field, Grid, sample
+
+# largest exponent admitted in a weight factor e^{k phi}; e^x overflows
+# float64 just above x = 709.78
+EXP_CAP = 700.0
 
 
 @dataclass(frozen=True)
@@ -47,9 +51,21 @@ class Weight:
     def sample_lap_hat(self, grid: Grid) -> np.ndarray:
         return np.real(np.asarray(self.lap_hat_phi(grid.nodes), dtype=complex)) * np.ones((grid.n, grid.n))
 
-    def exp_phi(self, grid: Grid, factor: float = 1.0) -> np.ndarray:
-        """e^{factor * phi} on the grid nodes."""
-        return np.exp(factor * np.real(np.asarray(self.phi(grid.nodes))) * np.ones((grid.n, grid.n)))
+    def exp_phi(self, z: np.ndarray, factor: float = 1.0) -> np.ndarray:
+        """e^{factor * phi} at the nodes ``z`` (``grid.nodes`` or a masked subset).
+
+        Raises DynamicRangeError when factor * phi exceeds EXP_CAP at some
+        node; its ``node_index`` is the flat index into ``z``.
+        """
+        expo = factor * np.real(np.asarray(self.phi(z))) * np.ones(np.shape(z))
+        if np.any(expo > EXP_CAP):
+            bad = int(np.argmax(expo.reshape(-1)))
+            raise DynamicRangeError(
+                f"weight {self.name!r}: {factor:g} phi reaches {expo.flat[bad]:.6g}, "
+                f"past EXP_CAP = {EXP_CAP:g}",
+                node_index=bad,
+            )
+        return np.exp(expo)
 
     def is_trivial(self) -> bool:
         return self.name == "zero"
@@ -97,6 +113,13 @@ def fock_weight(t: float = 1.0) -> Weight:
     )
 
 
+def _finite_param(spec: dict, key: str, default: float) -> float:
+    v = float(spec.get(key, default))
+    if not np.isfinite(v):
+        raise InvalidArgumentError(f"weight parameter {key} must be finite, got {v}")
+    return v
+
+
 def custom_weight(spec: dict) -> Weight:
     """Build a weight from the catalog.
 
@@ -108,10 +131,10 @@ def custom_weight(spec: dict) -> Weight:
         raise InvalidArgumentError("weight spec must be a dict with a 'name' key")
     name = spec["name"]
     if name == "fock":
-        return fock_weight(float(spec.get("t", 1.0)))
+        return fock_weight(_finite_param(spec, "t", 1.0))
     if name == "fock-harmonic":
-        t = float(spec.get("t", 1.0))
-        b = float(spec.get("b", 0.125))
+        t = _finite_param(spec, "t", 1.0)
+        b = _finite_param(spec, "b", 0.125)
         if not t > 0:
             raise InvalidArgumentError(f"fock-harmonic requires t > 0, got {t}")
         return Weight(

@@ -51,6 +51,15 @@ def test_unknown_config_key_named_in_error(tmp_path):
         json.dumps({"grid": {"n": 4}}),
         json.dumps({"tolerances": {"identity_rel": 0.0}}),
         json.dumps({"weight": {"t": 1.0}}),   # weight without a name
+        json.dumps({"weight": {"name": "bogus"}}),
+        json.dumps({"weight": {"name": "fock", "t": "abc"}}),
+        json.dumps({"weight": {"name": "fock", "t": None}}),
+        json.dumps({"grid": {"n": "abc"}}),
+        json.dumps({"grid": {"n": 64.5}}),
+        json.dumps({"grid": {"radius": -1.0}}),
+        json.dumps({"grid": {"radius": "6"}}),
+        json.dumps({"seed": "x"}),
+        json.dumps({"tolerances": {"identity_rel": "x"}}),
     ],
 )
 def test_invalid_configs_rejected(tmp_path, body):
@@ -58,6 +67,47 @@ def test_invalid_configs_rejected(tmp_path, body):
     p.write_text(body)
     with pytest.raises(ConfigError):
         load_config(str(p))
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--weight", "bogus"],
+        ["--weight", '{"name":'],
+        ["--weight", '{"name": "fock", "t": "abc"}'],
+        ["--weight", '{"name": "fock", "t": null}'],
+        ["--weight", '{"name": "fock", "t": 1e400}'],
+        ["--weight", '{"name": "fock-harmonic", "b": NaN}'],
+        ["--grid-radius", "-1"],
+        ["--grid-radius", "inf"],
+        ["--grid-radius", "nan"],
+    ],
+)
+def test_cli_config_errors_exit_2(tmp_path, capsys, flags):
+    rc = main(["curvature", "--grid-n", "64", "--out", str(tmp_path / "r"), *flags])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "r").exists()
+
+
+def _strict_json(path):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_reports_are_strict_json(tmp_path):
+    assert main(["all", "--sequential", "--out", str(tmp_path / "all")]) == 0
+    rep = _strict_json(tmp_path / "all" / "all.json")
+    assert rep["overall"] is True
+    rc = main(["curvature", "--grid-n", "64", "--weight", "quartic",
+               "--out", str(tmp_path / "q")])
+    assert rc == 1
+    rep = _strict_json(tmp_path / "q" / "curvature.json")
+    (check,) = rep["checks"]
+    assert check["measured"] is None and not check["passes"]
+    assert rep["details"]["curvature"]["error"] == "weight-invariant-violation"
 
 
 def test_missing_config_file_rejected():

@@ -4,12 +4,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbarkit import build_grid, integrate, sample
-from dbarkit.bumps import BumpPoly, Poly2, radial_window
+from dbarkit.bumps import BumpPoly, Poly2
 from dbarkit.diffops import dbar, delz, interior_max, laplacian_hat
 from dbarkit.errors import InvalidArgumentError
 from dbarkit.grid import Field
 
 SCHEMES = ["spectral", "fd4"]
+
+
+def radial_window(r_plateau, r_support):
+    """C-infinity cutoff: exactly 1 for |z| <= r_plateau, 0 for |z| >= r_support."""
+
+    def g(t):
+        out = np.zeros_like(t)
+        m = t > 0
+        out[m] = np.exp(-1.0 / t[m])
+        return out
+
+    def window(z):
+        r = np.abs(np.asarray(z, dtype=complex))
+        t = (r_support - r) / (r_support - r_plateau)
+        gt = g(np.clip(t, 0.0, 1.0))
+        g1t = g(np.clip(1.0 - t, 0.0, 1.0))
+        return gt / (gt + g1t)
+
+    return window
 
 
 def plateau_mask(grid, r=1.0):

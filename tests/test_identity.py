@@ -137,6 +137,23 @@ def test_dual_picture_overflow_guard(one_member):
     with pytest.raises(DynamicRangeError) as exc:
         to_dual_picture(u, fock_weight(30.0))
     assert exc.value.node_index is not None
+    # fock(30) has phi >= 0, so e^{-phi} can only underflow towards 0
+    assert np.all(np.isfinite(from_dual_picture(u, fock_weight(30.0)).values))
+
+
+def test_negative_phi_overflow_guard(one_member):
+    # phi = |z|^2/2 + 30 Re(z^2) falls to about -1030 on the imaginary axis
+    # of the R = 6 square, so e^{-phi} overflows there
+    w = custom_weight({"name": "fock-harmonic", "t": 1.0, "b": 30.0})
+    g = build_grid(6.0, 64)
+    u = one_member.sample(g)
+    with pytest.raises(DynamicRangeError) as exc:
+        from_dual_picture(u, w)
+    assert exc.value.node_index is not None
+    z = g.nodes.reshape(-1)[exc.value.node_index]
+    assert -w.phi(z) > 700.0
+    with pytest.raises(DynamicRangeError):
+        kernel_check(lambda z: np.ones_like(z), w, g)
 
 
 def test_kernel_check_entire_vs_nonentire(grid_default, fock):

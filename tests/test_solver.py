@@ -1,16 +1,17 @@
+from math import pi
+
 import numpy as np
 import pytest
 
 from dbarkit import build_grid, custom_weight, fock_weight, sample
 from dbarkit.bumps import random_suite
-from dbarkit.errors import InvalidArgumentError, WeightInvariantViolationError
+from dbarkit.errors import DynamicRangeError, InvalidArgumentError, WeightInvariantViolationError
 from dbarkit.grid import Field
 from dbarkit.solver import (
     cauchy_transform,
     check_hormander_bound,
     dbar_invert_spectral,
     fock_bergman_project,
-    fock_bergman_project_dense,
     solve_dbar,
     support_radius,
     uniqueness_probe,
@@ -31,6 +32,32 @@ def compliant(grid_default, member):
 @pytest.fixture(scope="module")
 def fock():
     return fock_weight(1.0)
+
+
+def cauchy_dense(f, chunk=512):
+    """Reference Cauchy quadrature: the literal O(N^2) sum over source nodes,
+    diagonal cell -> 0."""
+    g = f.grid
+    z = g.nodes.reshape(-1)
+    vals = f.flat * (g.spacing**2 / pi)
+    out = np.empty(z.shape, dtype=complex)
+    for i in range(0, z.size, chunk):
+        d = z[i : i + chunk, None] - z[None, :]
+        invd = np.zeros_like(d)
+        nz = d != 0
+        invd[nz] = 1.0 / d[nz]
+        out[i : i + chunk] = invd @ vals
+    return Field(g, out.reshape(g.n, g.n))
+
+
+def fock_bergman_project_dense(u):
+    """Reference Fock projection: the literal kernel quadrature
+    (1/pi) sum e^{z conj(w)} u(w) e^{-|w|^2} h^2, O(N^2) memory and time."""
+    g = u.grid
+    z = g.nodes.reshape(-1)
+    src = u.flat * np.exp(-np.abs(z) ** 2) * (g.spacing**2 / pi)
+    K = np.exp(z[:, None] * np.conj(z)[None, :])
+    return Field(g, (K @ src).reshape(g.n, g.n))
 
 
 def gauss_norm(field):
@@ -54,8 +81,8 @@ def test_cauchy_of_zero_is_zero(grid_small):
 def test_cauchy_dense_matches_fft(member):
     g = build_grid(6.0, 64)
     f = member.sample_dbar(g)
-    ud = cauchy_transform(f, method="dense")
-    uf = cauchy_transform(f, method="fft")
+    ud = cauchy_dense(f)
+    uf = cauchy_transform(f)
     assert np.max(np.abs((ud - uf).values)) < 1e-10
 
 
@@ -67,12 +94,6 @@ def test_cauchy_converges_to_exact_inverse(member):
         errs.append(np.max(np.abs((u - member.sample(g)).values)))
     assert np.log2(errs[0] / errs[1]) > 1.0  # at least first order
     assert errs[1] < 0.2
-
-
-def test_cauchy_rejects_bad_method(grid_small):
-    zero = Field(grid_small, np.zeros((64, 64), dtype=complex))
-    with pytest.raises(InvalidArgumentError):
-        cauchy_transform(zero, method="multipole")
 
 
 def test_spectral_solve_compliant(grid_default, member, compliant, fock):
@@ -99,6 +120,19 @@ def test_spectral_solve_growing_weights(compliant):
         assert rep.h2_passes
 
 
+def test_solve_guards_e2phi_on_support_disk_only(member):
+    # at R = 7, 2 cosh(x) reaches about 1067 at the corners of the square,
+    # past EXP_CAP, but stays near 50 on the datum's support disk
+    g = build_grid(7.0, 256)
+    w = custom_weight({"name": "cosh-x"})
+    assert 2.0 * np.max(w.phi(g.nodes)) > 1000.0
+    rep = solve_dbar(member.sample_dbar(g), w)
+    assert rep.h2_passes
+    assert not rep.non_orthogonal_datum
+    with pytest.raises(DynamicRangeError):
+        uniqueness_probe(rep.u, w, 1)
+
+
 def test_gaussian_datum_is_flagged(grid_default, gaussian_field, fock):
     rep = solve_dbar(gaussian_field, fock)
     assert rep.non_orthogonal_datum
@@ -114,11 +148,6 @@ def test_sharpness_of_constant_half(fock):
     assert abs(rep.h2_lhs - np.pi) < 1e-8
     assert abs(rep.h2_rhs - np.pi) < 1e-8
     assert abs(rep.h2_lhs / rep.h2_rhs - 1.0) < 1e-8
-
-
-def test_solve_rejects_bad_method(compliant, fock):
-    with pytest.raises(InvalidArgumentError):
-        solve_dbar(compliant, fock, method="lu")
 
 
 def test_spectral_inverse_left_inverse(grid_default, member):
@@ -171,12 +200,6 @@ def test_projection_series_matches_dense_kernel(member):
     assert gauss_norm(ps - pd) < 1e-10
 
 
-def test_dense_projection_guards_size(grid_default):
-    u = Field(grid_default, np.zeros((256, 256), dtype=complex))
-    with pytest.raises(InvalidArgumentError):
-        fock_bergman_project_dense(u)
-
-
 def test_minimal_solution_bound(compliant, fock):
     rep = check_hormander_bound(compliant, fock)
     assert rep.passes
@@ -211,6 +234,13 @@ def test_uniqueness_probe_zero_amplitude(compliant, fock):
     d = uniqueness_probe(rep.u, fock, 1, amplitude=0.0)
     assert d["energies"][-1] == 0.0
     assert d["growth_ratio"] == 0.0
+
+
+def test_uniqueness_probe_overflow_guard(grid_default):
+    u0 = Field(grid_default, np.zeros((256, 256), dtype=complex))
+    with pytest.raises(DynamicRangeError) as exc:
+        uniqueness_probe(u0, fock_weight(30.0), 1)
+    assert exc.value.node_index is not None
 
 
 def test_uniqueness_probe_rejects_bad_inputs(compliant, fock):

@@ -5,7 +5,8 @@ import pytest
 
 from dbarkit import build_grid, curvature_margin, custom_weight, fock_weight, sample
 from dbarkit.diffops import interior_mask, laplacian_hat
-from dbarkit.errors import InvalidArgumentError, WeightInvariantViolationError
+from dbarkit.errors import DynamicRangeError, InvalidArgumentError, WeightInvariantViolationError
+from dbarkit.weights import EXP_CAP
 
 CATALOG = [
     {"name": "fock", "t": 1.0},
@@ -117,3 +118,31 @@ def test_quartic_weight_rejected():
     w = custom_weight({"name": "quartic"})
     with pytest.raises(WeightInvariantViolationError):
         curvature_margin(w, g)
+
+
+def test_exp_phi_is_the_guarded_exponential():
+    g = build_grid(6.0, 64)
+    z = g.nodes
+    w = custom_weight({"name": "cosh-x"})
+    for factor in (1.0, -1.0, 2.0):
+        assert np.array_equal(w.exp_phi(z, factor), np.exp(factor * np.cosh(z.real)))
+    disk = np.abs(z) < 2.0
+    assert np.array_equal(w.exp_phi(z[disk], 2.0), w.exp_phi(z, 2.0)[disk])
+
+
+def test_exp_phi_raises_past_cap():
+    w = fock_weight(2.0)  # phi = |z|^2
+    z = np.array([1.0 + 0j, 10.0 + 0j, 2.0 + 0j])
+    assert w.exp_phi(z, EXP_CAP / 100.0)[1] == np.exp(EXP_CAP)
+    with pytest.raises(DynamicRangeError) as exc:
+        w.exp_phi(z, 7.01)
+    assert exc.value.node_index == 1
+    # e^{-phi} only underflows towards 0, which is not an overflow
+    assert w.exp_phi(z, -EXP_CAP)[1] == 0.0
+
+
+def test_nonfinite_weight_parameters_rejected():
+    with pytest.raises(InvalidArgumentError):
+        custom_weight({"name": "fock", "t": float("inf")})
+    with pytest.raises(InvalidArgumentError):
+        custom_weight({"name": "fock-harmonic", "b": float("nan")})
