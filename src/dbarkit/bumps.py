@@ -46,9 +46,6 @@ class Poly2:
             {(a, b - 1): b * c for (a, b), c in self.coeffs if b > 0}
         )
 
-    def degree(self) -> int:
-        return max((a + b for (a, b), _ in self.coeffs), default=0)
-
 
 @dataclass(frozen=True)
 class BumpPoly:

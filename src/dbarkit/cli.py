@@ -1,20 +1,24 @@
 """Command-line entry point: configuration, pipelines, report emission.
 
 Every verification pipeline is addressable as a subcommand; ``all`` chains
-them.  Reports are written as deterministic JSON (and optionally CSV field
-dumps) and the process exits 0 exactly when every non-informational check
-passes.
+them.  The run configuration is a plain dict: ``DEFAULT_CONFIG`` declares
+every key, and each default's type is the key's type.  ``load_config``
+returns a copy of it with a config file's keys and then flag overrides
+merged in and validated; pipelines read that dict, and reports echo it as
+their ``config`` block.  Reports are written as deterministic JSON (and
+optionally CSV dumps) and the process exits 0 exactly when every
+non-informational check passes.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import numbers
 import sys
 import time
-from dataclasses import dataclass
 from math import pi
 from pathlib import Path
 
@@ -24,7 +28,9 @@ from . import identity, solver
 from .moments import bargmann_probe, diagonal_restriction
 from .moments import moments as compute_moments
 from .bumps import random_suite
-from .errors import ConfigError, InvalidArgumentError, WeightInvariantViolationError
+from .diffops import SCHEMES
+from .errors import (ConfigError, DynamicRangeError, InvalidArgumentError,
+                     WeightInvariantViolationError)
 from .grid import Field, build_grid, sample, write_field_csv
 from .reports import canonical_json
 from .weights import curvature_margin, custom_weight, fock_weight
@@ -38,45 +44,27 @@ DEFAULT_CONFIG = {
     "output": {"dir": "reports", "format": "json"},
     "sequential": False,
 }
+FORMATS = ("json", "csv")
 
 # moment/diagonal quadrature needs finer sampling than the default grid
 # because monomial and oscillatory factors amplify the aliasing tail
 MOMENT_GRID_N = 1024
 
-SUBCOMMANDS = (
-    "verify-identity", "solve", "check-h1", "sharpness", "moments",
-    "diagonal", "bargmann-probe", "curvature", "uniqueness-probe", "all",
-)
+
+# the types a leaf accepts, by the type of its default; bools are told
+# apart on their own, since a bool is an int
+_LEAF_TYPES = {bool: bool, int: numbers.Integral, float: numbers.Real, str: str}
 
 
-@dataclass
-class RunConfig:
-    radius: float
-    n: int
-    weight: dict
-    scheme: str
-    identity_rel: float
-    moment_abs: float
-    bound_slack: float
-    seed: int
-    out_dir: str
-    out_format: str
-    sequential: bool = False
-
-    def to_dict(self):
-        return {
-            "grid": {"radius": self.radius, "n": self.n},
-            "weight": self.weight,
-            "scheme": self.scheme,
-            "tolerances": {
-                "identity_rel": self.identity_rel,
-                "moment_abs": self.moment_abs,
-                "bound_slack": self.bound_slack,
-            },
-            "seed": self.seed,
-            "output": {"dir": self.out_dir, "format": self.out_format},
-            "sequential": self.sequential,
-        }
+def _leaf(full, default, v):
+    """``v`` converted to the type of ``default``, which it must have."""
+    if (isinstance(v, bool) != isinstance(default, bool)
+            or not isinstance(v, _LEAF_TYPES[type(default)])):
+        raise ConfigError(f"config key {full} must be a {type(default).__name__}, got {v!r}")
+    try:
+        return type(default)(v)
+    except OverflowError as e:
+        raise ConfigError(f"config key {full} is out of range: {e}") from e
 
 
 def _merge_validate(base: dict, override: dict, path="") -> dict:
@@ -96,64 +84,41 @@ def _merge_validate(base: dict, override: dict, path="") -> dict:
                 raise ConfigError(f"config key {full} must be an object")
             out[k] = _merge_validate(base[k], v, full)
         else:
-            out[k] = v
+            out[k] = _leaf(full, base[k], v)
     return out
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
-def _is_positive_real(x) -> bool:
-    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
-            and math.isfinite(x) and x > 0)
-
-
-def load_config(path=None, overrides=None) -> RunConfig:
-    raw = DEFAULT_CONFIG
+def load_config(path=None, overrides=None) -> dict:
+    """``DEFAULT_CONFIG`` with the file at ``path``, then ``overrides``, merged in."""
+    cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         try:
-            text = Path(path).read_text()
-            user = json.loads(text)
+            user = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot parse config {path}: {e}") from e
         if not isinstance(user, dict):
             raise ConfigError(f"config {path} must contain a JSON object")
-        raw = _merge_validate(raw, user)
+        cfg = _merge_validate(cfg, user)
     if overrides:
-        raw = _merge_validate(raw, overrides)
-    tol = raw["tolerances"]
-    for name, val in tol.items():
-        if not _is_positive_real(val):
-            raise ConfigError(f"tolerance {name} must be a finite positive number, got {val!r}")
-    n, radius = raw["grid"]["n"], raw["grid"]["radius"]
-    if not (_is_int(n) and n >= 8):
-        raise ConfigError(f"grid.n must be an integer >= 8, got {n!r}")
-    if not _is_positive_real(radius):
-        raise ConfigError(f"grid.radius must be a finite positive number, got {radius!r}")
-    if not _is_int(raw["seed"]):
-        raise ConfigError(f"seed must be an integer, got {raw['seed']!r}")
+        cfg = _merge_validate(cfg, overrides)
+    if cfg["grid"]["n"] < 8:
+        raise ConfigError(f"grid.n must be an integer >= 8, got {cfg['grid']['n']!r}")
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {cfg['seed']!r}")
+    positive = {"grid.radius": cfg["grid"]["radius"],
+                **{f"tolerances.{k}": v for k, v in cfg["tolerances"].items()}}
+    for key, val in positive.items():
+        if not (math.isfinite(val) and val > 0):
+            raise ConfigError(f"{key} must be a finite positive number, got {val!r}")
     try:
-        custom_weight(raw["weight"])
+        custom_weight(cfg["weight"])
     except (ValueError, TypeError) as e:
-        raise ConfigError(f"invalid weight {raw['weight']!r}: {e}") from e
-    if raw["scheme"] not in ("spectral", "fd4"):
-        raise ConfigError(f"unknown scheme {raw['scheme']!r}")
-    if raw["output"]["format"] not in ("json", "csv"):
-        raise ConfigError(f"unknown output format {raw['output']['format']!r}")
-    return RunConfig(
-        radius=float(radius),
-        n=int(n),
-        weight=raw["weight"],
-        scheme=raw["scheme"],
-        identity_rel=float(tol["identity_rel"]),
-        moment_abs=float(tol["moment_abs"]),
-        bound_slack=float(tol["bound_slack"]),
-        seed=int(raw["seed"]),
-        out_dir=raw["output"]["dir"],
-        out_format=raw["output"]["format"],
-        sequential=bool(raw["sequential"]),
-    )
+        raise ConfigError(f"invalid weight {cfg['weight']!r}: {e}") from e
+    if cfg["scheme"] not in SCHEMES:
+        raise ConfigError(f"unknown scheme {cfg['scheme']!r}")
+    if cfg["output"]["format"] not in FORMATS:
+        raise ConfigError(f"unknown output format {cfg['output']['format']!r}")
+    return cfg
 
 
 def _check(name, passes, measured, bound, tolerance, runtime_s, informational=False):
@@ -173,65 +138,65 @@ def _check(name, passes, measured, bound, tolerance, runtime_s, informational=Fa
     }
 
 
-def _compliant_datum(cfg: RunConfig, grid):
-    member = random_suite(1, cfg.seed)[0]
-    return member, member.sample_dbar(grid)
+def _grid(cfg, n_min=0):
+    return build_grid(cfg["grid"]["radius"], max(cfg["grid"]["n"], n_min))
 
 
-def pipe_verify_identity(cfg: RunConfig):
-    grid = build_grid(cfg.radius, cfg.n)
-    w = custom_weight(cfg.weight)
-    checks = []
+def _compliant_datum(cfg, grid):
+    return random_suite(1, cfg["seed"])[0].sample_dbar(grid)
+
+
+def pipe_verify_identity(cfg):
+    grid = _grid(cfg)
+    w = custom_weight(cfg["weight"])
+    tol = cfg["tolerances"]["identity_rel"]
     worst = 0.0
     t0 = time.perf_counter()
-    for i, member in enumerate(random_suite(20, cfg.seed)):
-        rep = identity.verify_norm_identity(member.sample(grid), w, cfg.scheme,
-                                            cfg.identity_rel)
+    for member in random_suite(20, cfg["seed"]):
+        rep = identity.verify_norm_identity(member.sample(grid), w, cfg["scheme"], tol)
         worst = max(worst, rep.rel_err)
     dt = time.perf_counter() - t0
-    checks.append(_check("norm-identity-suite-max-rel-err", worst < cfg.identity_rel,
-                         worst, cfg.identity_rel, cfg.identity_rel, dt))
-    return checks, {}
+    return [_check("norm-identity-suite-max-rel-err", worst < tol, worst, tol, tol, dt)], {}
 
 
-def pipe_solve(cfg: RunConfig):
-    grid = build_grid(cfg.radius, cfg.n)
-    w = custom_weight(cfg.weight)
-    _, f = _compliant_datum(cfg, grid)
+def pipe_solve(cfg):
+    grid = _grid(cfg)
+    w = custom_weight(cfg["weight"])
+    f = _compliant_datum(cfg, grid)
+    slack = cfg["tolerances"]["bound_slack"]
     t0 = time.perf_counter()
-    rep = solver.solve_dbar(f, w, slack=cfg.bound_slack)
+    rep = solver.solve_dbar(f, w, slack=slack)
     dt = time.perf_counter() - t0
     checks = [
-        _check("solve-h2-bound", rep.h2_lhs <= rep.h2_rhs * (1 + cfg.bound_slack),
-               rep.h2_lhs, rep.h2_rhs * (1 + cfg.bound_slack), cfg.bound_slack, dt,
-               informational=rep.non_orthogonal_datum),
+        _check("solve-h2-bound", rep.h2_passes, rep.h2_lhs, rep.h2_rhs * (1 + slack), slack,
+               dt, informational=rep.non_orthogonal_datum),
         _check("solve-residual", rep.residual_inf < 1e-6, rep.residual_inf, 1e-6, 1e-6, dt),
         _check("solve-compliant-not-flagged", not rep.non_orthogonal_datum,
-               rep.moment_rel_max, 1e-4, 1e-4, dt),
+               rep.moment_rel_max, solver.MOMENT_REL_TOL, solver.MOMENT_REL_TOL, dt),
     ]
-    return checks, {"solution_report": rep.to_dict(), "_fields": {"u": rep.u}}
+    return checks, {"solution_report": rep.to_dict(), "_csv": {"u": rep.u}}
 
 
-def pipe_check_h1(cfg: RunConfig):
-    grid = build_grid(cfg.radius, cfg.n)
-    _, f = _compliant_datum(cfg, grid)
+def pipe_check_h1(cfg):
+    grid = _grid(cfg)
+    f = _compliant_datum(cfg, grid)
+    slack = cfg["tolerances"]["bound_slack"]
     t0 = time.perf_counter()
-    rep = solver.check_hormander_bound(f, fock_weight(1.0), slack=cfg.bound_slack)
+    rep = solver.check_hormander_bound(f, fock_weight(1.0), slack=slack)
     dt = time.perf_counter() - t0
     checks = [
-        _check("h1-bound", rep.passes, rep.h1_lhs, rep.h1_rhs * (1 + cfg.bound_slack),
-               cfg.bound_slack, dt),
+        _check("h1-bound", rep.passes, rep.h1_lhs, rep.h1_rhs * (1 + slack), slack, dt),
         _check("h1-projection-idempotence", rep.projection_idempotence_err < 1e-6,
                rep.projection_idempotence_err, 1e-6, 1e-6, dt),
     ]
     return checks, {"bound_report": rep.to_dict()}
 
 
-def pipe_sharpness(cfg: RunConfig):
-    grid = build_grid(cfg.radius, cfg.n)
+def pipe_sharpness(cfg):
+    grid = _grid(cfg)
     f = sample(lambda z: -z * np.exp(-np.abs(z) ** 2), grid)
     t0 = time.perf_counter()
-    rep = solver.solve_dbar(f, fock_weight(1.0), slack=cfg.bound_slack)
+    rep = solver.solve_dbar(f, fock_weight(1.0), slack=cfg["tolerances"]["bound_slack"])
     dt = time.perf_counter() - t0
     ratio = rep.h2_lhs / rep.h2_rhs
     checks = [
@@ -242,18 +207,17 @@ def pipe_sharpness(cfg: RunConfig):
     return checks, {"solution_report": rep.to_dict()}
 
 
-def pipe_moments(cfg: RunConfig):
-    n_fine = max(cfg.n, MOMENT_GRID_N)
-    grid = build_grid(cfg.radius, n_fine)
-    _, f = _compliant_datum(cfg, grid)
+def pipe_moments(cfg):
+    grid = _grid(cfg, MOMENT_GRID_N)
+    f = _compliant_datum(cfg, grid)
+    tol = cfg["tolerances"]["moment_abs"]
     t0 = time.perf_counter()
     mv = compute_moments(f, 10)
     h = grid.spacing
     l1 = float(h * h * np.sum(np.abs(f.values)))
     worst = float(np.max(np.abs(mv.m))) / l1
     checks = [
-        _check("moments-compliant", worst < cfg.moment_abs, worst, cfg.moment_abs,
-               cfg.moment_abs, time.perf_counter() - t0),
+        _check("moments-compliant", worst < tol, worst, tol, tol, time.perf_counter() - t0),
     ]
     t0 = time.perf_counter()
     g = sample(lambda z: np.exp(-np.abs(z) ** 2), grid)
@@ -263,10 +227,9 @@ def pipe_moments(cfg: RunConfig):
     return checks, {"moments": mv.to_dict(), "gaussian_m0": complex(m0)}
 
 
-def pipe_diagonal(cfg: RunConfig):
-    n_fine = max(cfg.n, MOMENT_GRID_N)
-    grid = build_grid(cfg.radius, n_fine)
-    _, f = _compliant_datum(cfg, grid)
+def pipe_diagonal(cfg):
+    grid = _grid(cfg, MOMENT_GRID_N)
+    f = _compliant_datum(cfg, grid)
     t0 = time.perf_counter()
     ds = diagonal_restriction(f)
     worst = float(np.max(np.abs(ds.values)))
@@ -282,7 +245,7 @@ def pipe_diagonal(cfg: RunConfig):
     return checks, {"_csv": {"diagonal_compliant": ds.to_csv(), "diagonal_gaussian": dg.to_csv()}}
 
 
-def pipe_bargmann(cfg: RunConfig):
+def pipe_bargmann(cfg):
     checks = []
     reports = []
     readings = set()
@@ -304,11 +267,11 @@ def pipe_bargmann(cfg: RunConfig):
     return checks, {"probes": reports, "matching_reading": sorted(readings)}
 
 
-def pipe_curvature(cfg: RunConfig):
-    grid = build_grid(cfg.radius, cfg.n)
+def pipe_curvature(cfg):
+    grid = _grid(cfg)
     t0 = time.perf_counter()
     try:
-        w = custom_weight(cfg.weight)
+        w = custom_weight(cfg["weight"])
         rep = curvature_margin(w, grid)
     except WeightInvariantViolationError as e:
         return [_check("curvature-margin", False, None, 0.0, 1e-9,
@@ -319,8 +282,8 @@ def pipe_curvature(cfg: RunConfig):
     return checks, {"curvature_report": rep.to_dict()}
 
 
-def pipe_uniqueness(cfg: RunConfig):
-    grid = build_grid(cfg.radius, cfg.n)
+def pipe_uniqueness(cfg):
+    grid = _grid(cfg)
     w = fock_weight(1.0)
     u0 = Field(grid, np.zeros((grid.n, grid.n), dtype=complex))
     checks = []
@@ -349,113 +312,106 @@ PIPELINES = {
 }
 
 
-def run(cfg: RunConfig, subcommand: str) -> dict:
-    """Execute the named pipeline(s); returns the suite result structure."""
-    if subcommand == "all":
-        names = list(PIPELINES)
-    elif subcommand in PIPELINES:
-        names = [subcommand]
-    else:
+def run(cfg: dict, subcommand: str) -> dict:
+    """Execute the named pipeline(s); returns the suite result structure.
+
+    ``_csv`` maps ``<pipeline>_<stem>`` to a ``Field`` or to CSV text.
+    """
+    if subcommand != "all" and subcommand not in PIPELINES:
         raise InvalidArgumentError(f"unknown subcommand {subcommand!r}")
+    names = list(PIPELINES) if subcommand == "all" else [subcommand]
     all_checks = []
-    extras = {}
+    details = {}
+    csv = {}
     for name in names:
         checks, extra = PIPELINES[name](cfg)
         all_checks.extend(checks)
-        extra_public = {k: v for k, v in extra.items() if not k.startswith("_")}
-        if extra_public:
-            extras[name] = extra_public
-        extras.setdefault("_artifacts", {})[name] = {
-            k: v for k, v in extra.items() if k.startswith("_")
-        }
-    if cfg.sequential:
+        for stem, art in extra.pop("_csv", {}).items():
+            csv[f"{name}_{stem}"] = art
+        if extra:
+            details[name] = extra
+    if cfg["sequential"]:
         # timings are the only nondeterministic report content
         for c in all_checks:
             c["runtime_ms"] = 0.0
-    overall = all(c["passes"] for c in all_checks if not c["informational"])
     return {
         "subcommand": subcommand,
-        "config": cfg.to_dict(),
+        "config": cfg,
         "checks": all_checks,
-        "details": {k: v for k, v in extras.items() if k != "_artifacts"},
-        "overall": overall,
-        "_artifacts": extras.get("_artifacts", {}),
+        "details": details,
+        "overall": all(c["passes"] for c in all_checks if not c["informational"]),
+        "_csv": csv,
     }
 
 
-def emit_report(result: dict, cfg: RunConfig) -> list[str]:
-    """Write the JSON report (and CSV field dumps when requested)."""
-    out = Path(cfg.out_dir)
+def emit_report(result: dict, cfg: dict) -> list[str]:
+    """Write the JSON report (and the CSV dumps when requested)."""
+    out = Path(cfg["output"]["dir"])
     out.mkdir(parents=True, exist_ok=True)
-    written = []
     public = {k: v for k, v in result.items() if not k.startswith("_")}
     jpath = out / f"{result['subcommand']}.json"
     jpath.write_text(canonical_json(public) + "\n")
-    written.append(str(jpath))
-    if cfg.out_format == "csv":
-        for pipe, art in result.get("_artifacts", {}).items():
-            for fname, fld in art.get("_fields", {}).items():
-                p = out / f"{pipe}_{fname}.csv"
-                with p.open("w") as fh:
-                    write_field_csv(fld, fh)
-                written.append(str(p))
-            for cname, text in art.get("_csv", {}).items():
-                p = out / f"{pipe}_{cname}.csv"
-                p.write_text(text)
-                written.append(str(p))
+    written = [str(jpath)]
+    if cfg["output"]["format"] == "csv":
+        for stem, art in result["_csv"].items():
+            p = out / f"{stem}.csv"
+            with p.open("w") as fh:
+                if isinstance(art, Field):
+                    write_field_csv(art, fh)
+                else:
+                    fh.write(art)
+            written.append(str(p))
     return written
+
+
+# each flag and the dotted config key it overrides
+FLAG_KEYS = {"grid_n": "grid.n", "grid_radius": "grid.radius", "weight": "weight",
+             "scheme": "scheme", "out": "output.dir", "format": "output.format",
+             "seed": "seed", "sequential": "sequential"}
 
 
 def build_parser():
     ap = argparse.ArgumentParser(prog="dbarkit",
                                  description="dbar-equation verification toolkit")
-    ap.add_argument("subcommand", choices=SUBCOMMANDS)
+    ap.add_argument("subcommand", choices=(*PIPELINES, "all"))
     ap.add_argument("--config", default=None, help="JSON config file")
     ap.add_argument("--grid-n", type=int, default=None)
     ap.add_argument("--grid-radius", type=float, default=None)
     ap.add_argument("--weight", default=None,
                     help="catalog name or JSON weight spec")
-    ap.add_argument("--scheme", choices=("spectral", "fd4"), default=None)
+    ap.add_argument("--scheme", choices=SCHEMES, default=None)
     ap.add_argument("--out", default=None, help="output directory")
-    ap.add_argument("--format", choices=("json", "csv"), default=None)
+    ap.add_argument("--format", choices=FORMATS, default=None)
     ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--sequential", action="store_true",
+    # None when absent, so a config file's "sequential": true stands
+    ap.add_argument("--sequential", action="store_true", default=None,
                     help="force bit-reproducible sequential evaluation")
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {}
-    if args.grid_n is not None or args.grid_radius is not None:
-        overrides["grid"] = {}
-        if args.grid_n is not None:
-            overrides["grid"]["n"] = args.grid_n
-        if args.grid_radius is not None:
-            overrides["grid"]["radius"] = args.grid_radius
-    if args.scheme is not None:
-        overrides["scheme"] = args.scheme
-    if args.out is not None or args.format is not None:
-        overrides["output"] = {}
-        if args.out is not None:
-            overrides["output"]["dir"] = args.out
-        if args.format is not None:
-            overrides["output"]["format"] = args.format
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.sequential:
-        overrides["sequential"] = True
     try:
         if args.weight is not None:
             w = args.weight
-            overrides["weight"] = json.loads(w) if w.strip().startswith("{") else {"name": w}
+            args.weight = json.loads(w) if w.strip().startswith("{") else {"name": w}
+        overrides = {}
+        for dest, key in FLAG_KEYS.items():
+            value = getattr(args, dest)
+            if value is not None:
+                *parents, leaf = key.split(".")
+                node = overrides
+                for part in parents:
+                    node = node.setdefault(part, {})
+                node[leaf] = value
         cfg = load_config(args.config, overrides)
         result = run(cfg, args.subcommand)
     except json.JSONDecodeError as e:
         # load_config reports its own file's parse errors as ConfigError
         print(f"config error: cannot parse --weight: {e}", file=sys.stderr)
         return 2
-    except ConfigError as e:
+    except (ConfigError, DynamicRangeError) as e:
+        # weight factors out of the float range make the configuration unusable
         print(f"config error: {e}", file=sys.stderr)
         return 2
     emit_report(result, cfg)

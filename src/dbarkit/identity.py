@@ -35,17 +35,6 @@ class IdentityReport:
     passes: bool
     isometry_mode: bool = False
 
-    def to_dict(self):
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "abs_err": self.abs_err,
-            "rel_err": self.rel_err,
-            "scheme": self.scheme,
-            "passes": self.passes,
-            "isometry_mode": self.isometry_mode,
-        }
-
 
 def apply_T(v: Field, w: Weight, scheme: str = "spectral") -> Field:
     """T v = dbar(v) - dbar(phi) * v."""

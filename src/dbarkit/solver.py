@@ -32,6 +32,8 @@ from .moments import moments
 from .weights import EXP_CAP, Weight, curvature_margin
 
 SUPPORT_FLOOR = 1e-13
+# normalized moments above this flag the datum as non-orthogonal
+MOMENT_REL_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -120,8 +122,7 @@ def dbar_invert_spectral(f: Field) -> Field:
     return Field(g, u)
 
 
-def solve_dbar(f: Field, w: Weight, J: int = 10, moment_rel_tol: float = 1e-4,
-               slack: float = 0.01) -> SolutionReport:
+def solve_dbar(f: Field, w: Weight, J: int = 10, slack: float = 0.01) -> SolutionReport:
     """Solve dbar u = f and evaluate the growing-weight bound with constant 1/2.
 
     The bound integrals run over the datum's support disk (plus a 2h margin);
@@ -129,7 +130,7 @@ def solve_dbar(f: Field, w: Weight, J: int = 10, moment_rel_tol: float = 1e-4,
     disk, so the restriction is exact while avoiding amplification of
     rounding noise by e^{2 phi} at the corners of the truncation square;
     e^{2 phi} is evaluated, and guarded against overflow, on that disk only.
-    When the normalized moments exceed ``moment_rel_tol`` the report carries
+    When the normalized moments exceed ``MOMENT_REL_TOL`` the report carries
     the non-orthogonal-datum flag and the bound verdict is informational only.
     """
     g = f.grid
@@ -145,7 +146,7 @@ def solve_dbar(f: Field, w: Weight, J: int = 10, moment_rel_tol: float = 1e-4,
     l1 = float(h * h * np.sum(np.abs(f.values)))
     scale = np.array([max(1.0, r_sup) ** j for j in range(J + 1)])
     moment_rel_max = float(np.max(np.abs(mv.m) / (scale * max(l1, 1e-300))))
-    flagged = moment_rel_max > moment_rel_tol
+    flagged = moment_rel_max > MOMENT_REL_TOL
 
     z = g.nodes
     disk = np.abs(z) <= r_sup + 2.0 * h
@@ -210,8 +211,7 @@ def check_hormander_bound(f: Field, w: Weight, slack: float = 0.01) -> BoundRepo
     if w.name != "fock" or abs(w.params.get("t", 0.0) - 1.0) > 1e-15:
         raise InvalidArgumentError("check_hormander_bound supports the fock(1) weight only")
     g = f.grid
-    rep = solve_dbar(f, w)
-    u = rep.u
+    u = dbar_invert_spectral(f)
     Pu = fock_bergman_project(u)
     umin = u - Pu
     h = g.spacing

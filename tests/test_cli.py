@@ -2,35 +2,50 @@ import json
 
 import pytest
 
-from dbarkit.cli import build_parser, load_config, main, run
+from dbarkit.cli import DEFAULT_CONFIG, build_parser, load_config, main, run
 from dbarkit.errors import ConfigError
 
 
 def test_default_config_values():
     cfg = load_config()
-    assert cfg.radius == 6.0
-    assert cfg.n == 256
-    assert cfg.weight == {"name": "fock", "t": 1.0}
-    assert cfg.scheme == "spectral"
-    assert cfg.identity_rel == 1e-6
-    assert not cfg.sequential
+    assert cfg["grid"] == {"radius": 6.0, "n": 256}
+    assert cfg["weight"] == {"name": "fock", "t": 1.0}
+    assert cfg["scheme"] == "spectral"
+    assert cfg["tolerances"]["identity_rel"] == 1e-6
+    assert cfg["sequential"] is False
 
 
 def test_config_file_merges_over_defaults(tmp_path):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({"grid": {"n": 64}, "seed": 7}))
     cfg = load_config(str(p))
-    assert cfg.n == 64
-    assert cfg.radius == 6.0
-    assert cfg.seed == 7
+    assert cfg["grid"]["n"] == 64
+    assert cfg["grid"]["radius"] == 6.0
+    assert cfg["seed"] == 7
 
 
-def test_config_round_trips_through_to_dict(tmp_path):
+def test_config_round_trips_through_json(tmp_path):
     cfg = load_config()
     p = tmp_path / "c.json"
-    p.write_text(json.dumps(cfg.to_dict()))
+    p.write_text(json.dumps(cfg))
     cfg2 = load_config(str(p))
     assert cfg2 == cfg
+
+
+def test_integer_radius_is_read_as_float(tmp_path):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"grid": {"radius": 6}}))
+    radius = load_config(str(p))["grid"]["radius"]
+    assert radius == 6.0 and isinstance(radius, float)
+
+
+def test_load_config_returns_a_fresh_copy():
+    first = load_config()
+    first["grid"]["n"] = 8
+    first["weight"]["t"] = 5.0
+    first["tolerances"].clear()
+    assert load_config() == DEFAULT_CONFIG
+    assert DEFAULT_CONFIG["grid"]["n"] == 256
 
 
 def test_unknown_config_key_named_in_error(tmp_path):
@@ -60,6 +75,13 @@ def test_unknown_config_key_named_in_error(tmp_path):
         json.dumps({"grid": {"radius": "6"}}),
         json.dumps({"seed": "x"}),
         json.dumps({"tolerances": {"identity_rel": "x"}}),
+        json.dumps({"sequential": "no"}),
+        json.dumps({"sequential": 1}),
+        json.dumps({"output": {"dir": 5}}),
+        json.dumps({"output": {"dir": None}}),
+        json.dumps({"seed": True}),
+        json.dumps({"seed": -1}),
+        '{"grid": {"radius": 1%s}}' % ("0" * 400),
     ],
 )
 def test_invalid_configs_rejected(tmp_path, body):
@@ -72,19 +94,23 @@ def test_invalid_configs_rejected(tmp_path, body):
 @pytest.mark.parametrize(
     "flags",
     [
-        ["--weight", "bogus"],
-        ["--weight", '{"name":'],
-        ["--weight", '{"name": "fock", "t": "abc"}'],
-        ["--weight", '{"name": "fock", "t": null}'],
-        ["--weight", '{"name": "fock", "t": 1e400}'],
-        ["--weight", '{"name": "fock-harmonic", "b": NaN}'],
-        ["--grid-radius", "-1"],
-        ["--grid-radius", "inf"],
-        ["--grid-radius", "nan"],
+        ["curvature", "--weight", "bogus"],
+        ["curvature", "--weight", '{"name":'],
+        ["curvature", "--weight", '{"name": "fock", "t": "abc"}'],
+        ["curvature", "--weight", '{"name": "fock", "t": null}'],
+        ["curvature", "--weight", '{"name": "fock", "t": 1e400}'],
+        ["curvature", "--weight", '{"name": "fock-harmonic", "b": NaN}'],
+        ["curvature", "--grid-radius", "-1"],
+        ["curvature", "--grid-radius", "inf"],
+        ["curvature", "--grid-radius", "nan"],
+        # well-formed, but the weight factors leave the float range
+        ["check-h1", "--grid-radius", "20"],
+        ["solve", "--weight", '{"name": "fock", "t": 200}'],
     ],
 )
 def test_cli_config_errors_exit_2(tmp_path, capsys, flags):
-    rc = main(["curvature", "--grid-n", "64", "--out", str(tmp_path / "r"), *flags])
+    """Each row is a subcommand and its flags."""
+    rc = main([*flags, "--grid-n", "64", "--out", str(tmp_path / "r")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert not (tmp_path / "r").exists()
@@ -140,6 +166,16 @@ def test_run_curvature_fails_for_degenerate_weight():
     result = run(cfg, "curvature")
     assert not result["overall"]
     assert result["details"]["curvature"]["error"] == "weight-invariant-violation"
+
+
+def test_config_file_sequential_stands_without_flag(tmp_path):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"sequential": True}))
+    argv = ["curvature", "--grid-n", "64", "--config", str(p), "--out", str(tmp_path / "r")]
+    assert main(argv) == 0
+    rep = json.loads((tmp_path / "r" / "curvature.json").read_text())
+    assert rep["config"]["sequential"] is True
+    assert [c["runtime_ms"] for c in rep["checks"]] == [0.0]
 
 
 def test_sequential_reports_are_byte_identical(tmp_path):
