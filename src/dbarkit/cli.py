@@ -5,15 +5,18 @@ them.  The run configuration is a plain dict: ``DEFAULT_CONFIG`` declares
 every key, and each default's type is the key's type.  ``load_config``
 returns a copy of it with a config file's keys and then flag overrides
 merged in and validated; pipelines read that dict, and reports echo it as
-their ``config`` block.  Reports are written as deterministic JSON (and
-optionally CSV dumps) and the process exits 0 exactly when every
-non-informational check passes.
+their ``config`` block.  ``emit_report`` is the one place that decides the
+report format: strict JSON from the stdlib encoder, with sorted keys,
+shortest round-trip floats and ASCII escapes (and optionally CSV dumps).
+The process exits 0 exactly when every non-informational check passes, and
+2 on a configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import math
 import numbers
@@ -29,10 +32,9 @@ from .moments import bargmann_probe, diagonal_restriction
 from .moments import moments as compute_moments
 from .bumps import random_suite
 from .diffops import SCHEMES
-from .errors import (ConfigError, DynamicRangeError, InvalidArgumentError,
+from .errors import (ConfigError, DynamicRangeError, InvalidArgumentError, SamplingError,
                      WeightInvariantViolationError)
 from .grid import Field, build_grid, sample, write_field_csv
-from .reports import canonical_json
 from .weights import curvature_margin, custom_weight, fock_weight
 
 DEFAULT_CONFIG = {
@@ -138,6 +140,12 @@ def _check(name, passes, measured, bound, tolerance, runtime_s, informational=Fa
     }
 
 
+def _details(rep, **extra):
+    """The fields of the report dataclass ``rep``, minus sampled ``Field``s, plus ``extra``."""
+    values = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)}
+    return {k: v for k, v in values.items() if not isinstance(v, Field)} | extra
+
+
 def _grid(cfg, n_min=0):
     return build_grid(cfg["grid"]["radius"], max(cfg["grid"]["n"], n_min))
 
@@ -174,7 +182,7 @@ def pipe_solve(cfg):
         _check("solve-compliant-not-flagged", not rep.non_orthogonal_datum,
                rep.moment_rel_max, solver.MOMENT_REL_TOL, solver.MOMENT_REL_TOL, dt),
     ]
-    return checks, {"solution_report": rep.to_dict(), "_csv": {"u": rep.u}}
+    return checks, {"solution_report": _details(rep, method="spectral"), "_csv": {"u": rep.u}}
 
 
 def pipe_check_h1(cfg):
@@ -189,7 +197,7 @@ def pipe_check_h1(cfg):
         _check("h1-projection-idempotence", rep.projection_idempotence_err < 1e-6,
                rep.projection_idempotence_err, 1e-6, 1e-6, dt),
     ]
-    return checks, {"bound_report": rep.to_dict()}
+    return checks, {"bound_report": _details(rep)}
 
 
 def pipe_sharpness(cfg):
@@ -204,7 +212,7 @@ def pipe_sharpness(cfg):
         _check("sharpness-rhs-pi", abs(rep.h2_rhs - pi) < 1e-6, rep.h2_rhs, pi, 1e-6, dt),
         _check("sharpness-ratio-one", abs(ratio - 1.0) < 1e-6, ratio, 1.0, 1e-6, dt),
     ]
-    return checks, {"solution_report": rep.to_dict()}
+    return checks, {"solution_report": _details(rep, method="spectral")}
 
 
 def pipe_moments(cfg):
@@ -224,7 +232,10 @@ def pipe_moments(cfg):
     m0 = compute_moments(g, 0).m[0]
     checks.append(_check("moments-gaussian-m0-pi", abs(m0 - pi) < 1e-8, abs(m0), pi,
                          1e-8, time.perf_counter() - t0, informational=True))
-    return checks, {"moments": mv.to_dict(), "gaussian_m0": complex(m0)}
+    return checks, {
+        "moments": {"J": mv.J, "m_re": mv.m.real.tolist(), "m_im": mv.m.imag.tolist()},
+        "gaussian_m0": {"re": float(m0.real), "im": float(m0.imag)},
+    }
 
 
 def pipe_diagonal(cfg):
@@ -255,7 +266,7 @@ def pipe_bargmann(cfg):
         rep = bargmann_probe(1.0, a)
         dt = time.perf_counter() - t0
         total += dt
-        reports.append(rep.to_dict())
+        reports.append(_details(rep))
         readings.add(rep.matching_reading)
         ok = rep.matching_reading in ("literal", "quadratic")
         checks.append(_check(f"bargmann-unique-reading-a={a:g}", ok,
@@ -279,7 +290,7 @@ def pipe_curvature(cfg):
             "error": "weight-invariant-violation", "detail": str(e)}
     checks = [_check("curvature-margin", rep.passes, rep.min_margin, -1e-9, 1e-9,
                      time.perf_counter() - t0)]
-    return checks, {"curvature_report": rep.to_dict()}
+    return checks, {"curvature_report": _details(rep)}
 
 
 def pipe_uniqueness(cfg):
@@ -293,9 +304,9 @@ def pipe_uniqueness(cfg):
         table = solver.uniqueness_probe(u0, w, p, radii=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         dt = time.perf_counter() - t0
         tables[f"p={p}"] = table
-        ok = table["monotone"] and table["growth_ratio"] > 1e3
-        checks.append(_check(f"uniqueness-growth-p={p}", ok, table["growth_ratio"],
-                             1e3, 1e3, dt))
+        ratio = table["growth_ratio"]
+        ok = table["monotone"] and ratio is not None and ratio > 1e3
+        checks.append(_check(f"uniqueness-growth-p={p}", ok, ratio, 1e3, 1e3, dt))
     return checks, {"tables": tables}
 
 
@@ -350,7 +361,10 @@ def emit_report(result: dict, cfg: dict) -> list[str]:
     out.mkdir(parents=True, exist_ok=True)
     public = {k: v for k, v in result.items() if not k.startswith("_")}
     jpath = out / f"{result['subcommand']}.json"
-    jpath.write_text(canonical_json(public) + "\n")
+    # allow_nan=False raises ValueError on NaN or +-inf, keeping reports strict
+    # JSON; the ASCII escapes make any string writable, even an --out path
+    # holding an undecodable byte
+    jpath.write_text(json.dumps(public, sort_keys=True, allow_nan=False) + "\n")
     written = [str(jpath)]
     if cfg["output"]["format"] == "csv":
         for stem, art in result["_csv"].items():
@@ -410,8 +424,9 @@ def main(argv=None) -> int:
         # load_config reports its own file's parse errors as ConfigError
         print(f"config error: cannot parse --weight: {e}", file=sys.stderr)
         return 2
-    except (ConfigError, DynamicRangeError) as e:
-        # weight factors out of the float range make the configuration unusable
+    except (ConfigError, DynamicRangeError, SamplingError) as e:
+        # weight factors or closed forms out of the float range make the
+        # configuration unusable
         print(f"config error: {e}", file=sys.stderr)
         return 2
     emit_report(result, cfg)

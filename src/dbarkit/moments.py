@@ -17,7 +17,7 @@ from math import factorial, pi, sqrt
 import numpy as np
 
 from .errors import DynamicRangeError, InvalidArgumentError, TruncationMassWarning
-from .grid import Field, integrate, warn_boundary_mass
+from .grid import FLOAT_FMT, Field, integrate, warn_boundary_mass
 
 IM_EXPONENT_CAP = 30.0
 
@@ -27,13 +27,6 @@ class MomentVector:
     J: int
     m: np.ndarray  # complex, length J+1
 
-    def to_dict(self):
-        return {
-            "J": self.J,
-            "m_re": [float(x.real) for x in self.m],
-            "m_im": [float(x.imag) for x in self.m],
-        }
-
 
 @dataclass(frozen=True)
 class DiagonalSeries:
@@ -42,12 +35,10 @@ class DiagonalSeries:
     series_values: np.ndarray  # truncated moment series
 
     def to_csv(self) -> str:
+        fmt = ",".join([FLOAT_FMT] * 6)
         lines = ["xi_re,xi_im,fhat_re,fhat_im,series_re,series_im"]
         for xi, v, s in zip(self.xi_samples, self.values, self.series_values):
-            lines.append(
-                "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
-                % (xi.real, xi.imag, v.real, v.imag, s.real, s.imag)
-            )
+            lines.append(fmt % (xi.real, xi.imag, v.real, v.imag, s.real, s.imag))
         return "\n".join(lines) + "\n"
 
 
@@ -143,19 +134,6 @@ class BargmannProbeReport:
     matching_reading: str  # "literal" | "quadratic" | "both" | "none"
     rel_err_literal: float
     rel_err_quadratic: float
-
-    def to_dict(self):
-        return {
-            "beta": self.beta,
-            "a": self.a,
-            "amplitude": self.amplitude,
-            "lhs": self.lhs,
-            "rhs_literal": self.rhs_literal,
-            "rhs_quadratic": self.rhs_quadratic,
-            "matching_reading": self.matching_reading,
-            "rel_err_literal": self.rel_err_literal,
-            "rel_err_quadratic": self.rel_err_quadratic,
-        }
 
 
 def bargmann_probe(beta: float, a: float, amplitude: float = 1.0,

@@ -49,20 +49,6 @@ class SolutionReport:
     tail_mass: float
     support_radius: float
 
-    def to_dict(self):
-        return {
-            "residual_inf": self.residual_inf,
-            "moment_max": self.moment_max,
-            "moment_rel_max": self.moment_rel_max,
-            "non_orthogonal_datum": self.non_orthogonal_datum,
-            "h2_lhs": self.h2_lhs,
-            "h2_rhs": self.h2_rhs,
-            "h2_passes": self.h2_passes,
-            "tail_mass": self.tail_mass,
-            "support_radius": self.support_radius,
-            "method": "spectral",
-        }
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -70,14 +56,6 @@ class BoundReport:
     h1_rhs: float
     passes: bool
     projection_idempotence_err: float
-
-    def to_dict(self):
-        return {
-            "h1_lhs": self.h1_lhs,
-            "h1_rhs": self.h1_rhs,
-            "passes": self.passes,
-            "projection_idempotence_err": self.projection_idempotence_err,
-        }
 
 
 def support_radius(f: Field, floor: float = SUPPORT_FLOOR) -> float:
@@ -247,12 +225,14 @@ def uniqueness_probe(u: Field, w: Weight, p: int, radii=None,
     wgt = w.exp_phi(Z, 2.0) * w.sample_lap_hat(g)
     r = np.abs(Z)
     energies = [float(h * h * np.sum((diff2 * wgt)[r < rr])) for rr in radii]
-    first = energies[0]
-    ratio = energies[-1] / first if first > 0 else float("inf") if energies[-1] > 0 else 0.0
+    first, last = energies[0], energies[-1]
+    # None when the innermost disk holds no node but the outer ones carry
+    # energy: the growth is real but has no finite ratio
+    ratio = last / first if first > 0 else None if last > 0 else 0.0
     return {
         "p": p,
         "radii": [float(x) for x in radii],
         "energies": energies,
-        "growth_ratio": float(ratio),
+        "growth_ratio": ratio,
         "monotone": all(b >= a for a, b in zip(energies, energies[1:])),
     }

@@ -88,14 +88,7 @@ class CurvatureReport:
     margin_field: Field
     min_margin: float
     passes: bool
-    analytic: bool
-
-    def to_dict(self):
-        return {
-            "min_margin": self.min_margin,
-            "passes": self.passes,
-            "analytic_path": self.analytic,
-        }
+    analytic_path: bool
 
 
 def fock_weight(t: float = 1.0) -> Weight:

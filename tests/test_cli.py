@@ -1,8 +1,15 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dbarkit.cli import DEFAULT_CONFIG, build_parser, load_config, main, run
+from dbarkit.cli import DEFAULT_CONFIG, build_parser, emit_report, load_config, main, run
+from dbarkit.diffops import SCHEMES
 from dbarkit.errors import ConfigError
 
 
@@ -106,6 +113,9 @@ def test_invalid_configs_rejected(tmp_path, body):
         # well-formed, but the weight factors leave the float range
         ["check-h1", "--grid-radius", "20"],
         ["solve", "--weight", '{"name": "fock", "t": 200}'],
+        # the weight's closed forms overflow where the grid samples them
+        ["verify-identity", "--weight", '{"name": "fock", "t": 1e308}'],
+        ["verify-identity", "--grid-radius", "800", "--weight", "cosh-x"],
     ],
 )
 def test_cli_config_errors_exit_2(tmp_path, capsys, flags):
@@ -134,6 +144,78 @@ def test_reports_are_strict_json(tmp_path):
     (check,) = rep["checks"]
     assert check["measured"] is None and not check["passes"]
     assert rep["details"]["curvature"]["error"] == "weight-invariant-violation"
+
+
+def test_uniqueness_probe_without_inner_node_fails_cleanly(tmp_path):
+    # at R = 6 and n = 8 no node lies in |z| < 1, so no growth ratio exists
+    assert main(["uniqueness-probe", "--grid-n", "8", "--out", str(tmp_path)]) == 1
+    rep = _strict_json(tmp_path / "uniqueness-probe.json")
+    assert rep["overall"] is False
+    for check in rep["checks"]:
+        assert check["measured"] is None and not check["passes"]
+    for table in rep["details"]["uniqueness-probe"]["tables"].values():
+        assert table["growth_ratio"] is None
+
+
+def test_report_text_is_the_stdlib_encoding(tmp_path):
+    assert main(["solve", "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "solve.json").read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, allow_nan=False) + "\n"
+
+
+def test_emit_report_rejects_non_finite_floats(tmp_path):
+    cfg = load_config(overrides={"output": {"dir": str(tmp_path)}})
+    result = {"subcommand": "inf", "checks": [{"measured": float("inf")}], "_csv": {}}
+    with pytest.raises(ValueError):
+        emit_report(result, cfg)
+    assert not (tmp_path / "inf.json").exists()
+
+
+def test_undecodable_output_dir_is_escaped(tmp_path):
+    out = tmp_path / "o_\udcff"
+    assert main(["curvature", "--grid-n", "8", "--out", str(out)]) == 0
+    rep = _strict_json(out / "curvature.json")
+    assert rep["config"]["output"]["dir"] == str(out)
+
+
+def _random_argv():
+    """A subcommand and flags drawn over the configuration space, n kept small."""
+    weight_param = st.floats(min_value=-1e308, max_value=1e308, allow_nan=False)
+    weight = st.fixed_dictionaries(
+        {"name": st.sampled_from(["fock", "fock-harmonic", "cosh-x", "quartic", "zero"])},
+        optional={"t": weight_param, "b": weight_param},
+    )
+    return st.tuples(
+        # moments and diagonal raise n to 1024 whatever the flag says
+        st.sampled_from(["verify-identity", "solve", "check-h1", "sharpness",
+                         "curvature", "uniqueness-probe"]),
+        st.sampled_from([8, 16, 32]),
+        st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0 ** e),
+        weight,
+        st.sampled_from(SCHEMES),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_random_argv())
+def test_random_configurations_exit_cleanly(drawn):
+    """Exit 0 or 1 with a strict-JSON report whose verdict matches, or 2 with
+    a config error line; never an exception."""
+    sub, n, radius, weight, scheme = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "r"
+        argv = [sub, "--grid-n", str(n), "--grid-radius", repr(radius),
+                "--weight", json.dumps(weight), "--scheme", scheme, "--out", str(out)]
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            rc = main(argv)
+        if rc == 2:
+            # numpy's overflow warnings may precede the line
+            assert err.getvalue().splitlines()[-1].startswith("config error: ")
+        else:
+            assert rc in (0, 1)
+            rep = _strict_json(out / f"{sub}.json")
+            assert rep["overall"] is (rc == 0)
 
 
 def test_missing_config_file_rejected():

@@ -83,7 +83,7 @@ def test_discrete_laplacian_matches_analytic(spec):
 def test_fock_margin_exactly_two(t):
     g = build_grid(6.0, 64)
     rep = curvature_margin(fock_weight(t), g)
-    assert rep.analytic
+    assert rep.analytic_path
     assert rep.min_margin == 2.0
     assert rep.passes
 
