@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from math import factorial, pi, sqrt
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .errors import DynamicRangeError, InvalidArgumentError, TruncationMassWarning
 from .grid import FLOAT_FMT, Field, integrate, warn_boundary_mass
@@ -42,13 +43,23 @@ class DiagonalSeries:
         return "\n".join(lines) + "\n"
 
 
+def _monomial_sums(z: np.ndarray, a: np.ndarray, J: int, h: float) -> np.ndarray:
+    """h^2 sum(z^j a) for j = 0..J, multiplying one copy of ``a`` by ``z`` in place."""
+    work = np.array(a, dtype=complex)
+    out = np.empty(J + 1, dtype=complex)
+    for j in range(J + 1):
+        if j:
+            work *= z
+        out[j] = h * h * np.sum(work)
+    return out
+
+
 def moments(f: Field, J: int) -> MomentVector:
     """m_j = integral z^j f dA for j = 0..J by midpoint quadrature."""
     if J < 0:
         raise InvalidArgumentError(f"J must be nonnegative, got {J}")
     g = f.grid
     Z = g.nodes
-    h = g.spacing
     zmax = sqrt(2.0) * g.radius
     # the boundary requirement scales with the strongest monomial weight;
     # the threshold is looser than for plain fields because the monomial
@@ -58,12 +69,7 @@ def moments(f: Field, J: int) -> MomentVector:
         threshold=1e-6,
         context=f"moments up to J={J}",
     )
-    out = np.empty(J + 1, dtype=complex)
-    mono = np.ones_like(Z)
-    for j in range(J + 1):
-        out[j] = h * h * np.sum(mono * f.values)
-        mono = mono * Z
-    return MomentVector(J, out)
+    return MomentVector(J, _monomial_sums(Z, f.values, J, g.spacing))
 
 
 def pairing(f: Field, g: Field) -> complex:
@@ -117,9 +123,7 @@ def diagonal_restriction(f: Field, xi_samples=None, J: int = 10) -> DiagonalSeri
     xi_samples = np.asarray(xi_samples, dtype=complex)
     mv = moments(f, J)
     values = _fourier2_samples(f, xi_samples, 1j * xi_samples)
-    series = np.zeros_like(values)
-    for j in range(J + 1):
-        series += (-1j * xi_samples) ** j / factorial(j) * mv.m[j]
+    series = polyval(-1j * xi_samples, mv.m / [factorial(j) for j in range(J + 1)])
     return DiagonalSeries(xi_samples, values, series)
 
 

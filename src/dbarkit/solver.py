@@ -3,9 +3,9 @@
 The solver inverts the dbar symbol on the periodic grid with the zero mode
 removed, followed by an additive-constant calibration on the boundary ring.
 For data whose moments all vanish the decaying solution is identically zero
-outside the datum's support disk, so the calibration and the periodization
-are both exact to rounding; bound checks need the solution to near machine
-accuracy.
+outside the datum's support disk, so the error left is that of sampled
+data: for the seed-42 bump at R = 6, max|u - v| against the closed form v
+(max|v| = 8.08) is 1.7e-4 at n = 256 and 2.9e-10 at n = 1024.
 
 ``cauchy_transform`` is the independent quadrature of
 u(z) = (1/pi) integral f(w)/(z - w) dA(w), with the cell containing the
@@ -21,14 +21,15 @@ integrals agree with their plane counterparts for compliant data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lgamma, pi
+from math import exp, lgamma, pi, sqrt
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from . import diffops
 from .errors import DynamicRangeError, InvalidArgumentError
-from .grid import Field
-from .moments import moments
+from .grid import Field, weighted_norm_sq
+from .moments import _monomial_sums, moments
 from .weights import EXP_CAP, Weight, curvature_margin
 
 SUPPORT_FLOOR = 1e-13
@@ -88,7 +89,7 @@ def cauchy_transform(f: Field) -> Field:
 
 def dbar_invert_spectral(f: Field) -> Field:
     """Invert the dbar symbol on the periodic grid; calibrate the constant so
-    the solution vanishes on the boundary ring (exact for compliant data)."""
+    the solution vanishes on the boundary ring."""
     g = f.grid
     sym = diffops.dbar_symbol(g)
     sym[0, 0] = 1.0
@@ -105,7 +106,7 @@ def solve_dbar(f: Field, w: Weight, J: int = 10, slack: float = 0.01) -> Solutio
 
     The bound integrals run over the datum's support disk (plus a 2h margin);
     for compliant data the decaying solution vanishes identically outside that
-    disk, so the restriction is exact while avoiding amplification of
+    disk, so the restriction loses nothing while avoiding amplification of
     rounding noise by e^{2 phi} at the corners of the truncation square;
     e^{2 phi} is evaluated, and guarded against overflow, on that disk only.
     When the normalized moments exceed ``MOMENT_REL_TOL`` the report carries
@@ -158,25 +159,17 @@ def fock_bergman_project(u: Field, terms: int = 120) -> Field:
 
     Uses the reproducing kernel e^{z conj(w)}/pi expanded in the orthonormal
     monomials z^k / sqrt(pi k!); the expansion converges superexponentially
-    past k ~ (support radius)^2 for data concentrated inside the grid.
+    past k ~ (support radius)^2 for data concentrated inside the grid.  The
+    series sum_k <u, z^k> z^k / (pi k!) is summed by Horner's rule.
     """
     g = u.grid
     if 2.0 * g.radius**2 > EXP_CAP:
         raise DynamicRangeError("fock_bergman_project: kernel exponent exceeds dynamic range")
     Z = g.nodes
-    h = g.spacing
     gauss = np.exp(-(Z.real**2 + Z.imag**2))
-    out = np.zeros_like(Z)
-    mono = np.ones_like(Z)
-    monoc = np.ones_like(Z)
-    Zc = np.conj(Z)
-    for k in range(terms + 1):
-        norm = np.exp(-0.5 * (lgamma(k + 1) + np.log(pi)))
-        coeff = h * h * np.sum(monoc * u.values * gauss) * norm
-        out += coeff * norm * mono
-        mono = mono * Z
-        monoc = monoc * Zc
-    return Field(g, out)
+    sums = _monomial_sums(np.conj(Z), u.values * gauss, terms, g.spacing)
+    norm2 = [exp(-lgamma(k + 1)) / pi for k in range(terms + 1)]
+    return Field(g, polyval(Z, sums * norm2))
 
 
 def check_hormander_bound(f: Field, w: Weight, slack: float = 0.01) -> BoundReport:
@@ -191,15 +184,10 @@ def check_hormander_bound(f: Field, w: Weight, slack: float = 0.01) -> BoundRepo
     g = f.grid
     u = dbar_invert_spectral(f)
     Pu = fock_bergman_project(u)
-    umin = u - Pu
-    h = g.spacing
-    gauss = np.exp(-(g.nodes.real**2 + g.nodes.imag**2))
-    lap = w.sample_lap_hat(g)
-    h1_lhs = float(h * h * np.sum((umin.values.real**2 + umin.values.imag**2) * gauss))
-    f2 = f.values.real**2 + f.values.imag**2
-    h1_rhs = float(0.5 * h * h * np.sum(f2 * gauss / lap))
-    PPu = fock_bergman_project(Pu)
-    idem = float(np.sqrt(h * h * np.sum(np.abs(PPu.values - Pu.values) ** 2 * gauss)))
+    gauss = w.exp_phi(g.nodes, -2.0)
+    h1_lhs = weighted_norm_sq(u - Pu, gauss)
+    h1_rhs = 0.5 * weighted_norm_sq(f, gauss / w.sample_lap_hat(g))
+    idem = sqrt(weighted_norm_sq(fock_bergman_project(Pu) - Pu, gauss))
     return BoundReport(h1_lhs, h1_rhs, h1_lhs <= h1_rhs * (1.0 + slack), idem)
 
 

@@ -12,18 +12,22 @@ Laplacian, so the normalized convention is used throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import diffops
-from .errors import DynamicRangeError, InvalidArgumentError, WeightInvariantViolationError
+from .errors import (DynamicRangeError, InvalidArgumentError, SamplingError,
+                     WeightInvariantViolationError)
 from .grid import Field, Grid, sample
 
 # largest exponent admitted in a weight factor e^{k phi}; e^x overflows
 # float64 just above x = 709.78
 EXP_CAP = 700.0
+# each catalog entry's parameter keys and defaults; custom_weight rejects any other key
+CATALOG_PARAMS = {"fock": {"t": 1.0}, "fock-harmonic": {"t": 1.0, "b": 0.125},
+                  "cosh-x": {}, "quartic": {}, "zero": {}}
 
 
 @dataclass(frozen=True)
@@ -39,14 +43,21 @@ class Weight:
     # positive; a node check cannot see zeros that fall between cell centers
     positivity_defect: Optional[str] = None
 
+    def _sample(self, fn: Callable, label: str, grid: Grid) -> Field:
+        try:
+            return sample(fn, grid)
+        except SamplingError as e:
+            raise SamplingError(f"weight {self.name!r}, {label}: {e}",
+                                node_index=e.node_index) from e
+
     def sample_phi(self, grid: Grid) -> Field:
-        return sample(lambda z: self.phi(z) + 0j, grid)
+        return self._sample(self.phi, "phi", grid)
 
     def sample_dphi(self, grid: Grid) -> Field:
-        return sample(self.dphi, grid)
+        return self._sample(self.dphi, "del(phi)", grid)
 
     def sample_dbarphi(self, grid: Grid) -> Field:
-        return sample(self.dbarphi, grid)
+        return self._sample(self.dbarphi, "dbar(phi)", grid)
 
     def sample_lap_hat(self, grid: Grid) -> np.ndarray:
         return np.real(np.asarray(self.lap_hat_phi(grid.nodes), dtype=complex)) * np.ones((grid.n, grid.n))
@@ -123,21 +134,25 @@ def custom_weight(spec: dict) -> Weight:
     if not isinstance(spec, dict) or "name" not in spec:
         raise InvalidArgumentError("weight spec must be a dict with a 'name' key")
     name = spec["name"]
+    if not isinstance(name, str) or name not in CATALOG_PARAMS:
+        raise InvalidArgumentError(f"unknown weight catalog entry {name!r}")
+    for key in spec:
+        if key != "name" and key not in CATALOG_PARAMS[name]:
+            raise InvalidArgumentError(f"weight {name!r} takes no parameter {key!r}")
+    p = {k: _finite_param(spec, k, d) for k, d in CATALOG_PARAMS[name].items()}
     if name == "fock":
-        return fock_weight(_finite_param(spec, "t", 1.0))
+        return fock_weight(p["t"])
     if name == "fock-harmonic":
-        t = _finite_param(spec, "t", 1.0)
-        b = _finite_param(spec, "b", 0.125)
-        if not t > 0:
-            raise InvalidArgumentError(f"fock-harmonic requires t > 0, got {t}")
-        return Weight(
+        # the fock weight plus a harmonic term, which changes neither the
+        # Laplacian nor the margin
+        t, b = p["t"], p["b"]
+        return replace(
+            fock_weight(t),
             name="fock-harmonic",
-            params={"t": t, "b": b},
+            params=p,
             phi=lambda z: 0.5 * t * np.abs(z) ** 2 + b * np.real(z**2),
             dphi=lambda z: 0.5 * t * np.conj(z) + b * z,
             dbarphi=lambda z: 0.5 * t * z + b * np.conj(z),
-            lap_hat_phi=lambda z: 0.5 * t * np.ones(np.shape(z)),
-            margin_fn=lambda z: 2.0 * np.ones(np.shape(z)),
         )
     if name == "cosh-x":
         # phi = cosh x; lap_hat = cosh(x)/4; margin = sech^3 x + 2
@@ -160,16 +175,15 @@ def custom_weight(spec: dict) -> Weight:
             lap_hat_phi=lambda z: 4.0 * np.abs(z) ** 2,
             positivity_defect="laplacian_hat(phi) = 4|z|^2 vanishes at z = 0",
         )
-    if name == "zero":
-        return Weight(
-            name="zero",
-            params={},
-            phi=lambda z: np.zeros(np.shape(z)),
-            dphi=lambda z: np.zeros(np.shape(z), dtype=complex),
-            dbarphi=lambda z: np.zeros(np.shape(z), dtype=complex),
-            lap_hat_phi=lambda z: np.zeros(np.shape(z)),
-        )
-    raise InvalidArgumentError(f"unknown weight catalog entry {name!r}")
+    # the last entry, zero
+    return Weight(
+        name="zero",
+        params={},
+        phi=lambda z: np.zeros(np.shape(z)),
+        dphi=lambda z: np.zeros(np.shape(z), dtype=complex),
+        dbarphi=lambda z: np.zeros(np.shape(z), dtype=complex),
+        lap_hat_phi=lambda z: np.zeros(np.shape(z)),
+    )
 
 
 def curvature_margin(w: Weight, grid: Grid, tolerance: float = 1e-9,

@@ -98,6 +98,17 @@ def test_invalid_configs_rejected(tmp_path, body):
         load_config(str(p))
 
 
+# what the config error line must name, for rows whose cause the flags do
+# not spell out
+CONFIG_ERROR_NAMES = {
+    'verify-identity --weight {"name": "fock", "t": 1e308}': "weight 'fock', dbar(phi)",
+    "verify-identity --grid-radius 800 --weight cosh-x": "weight 'cosh-x', dbar(phi)",
+    'curvature --weight {"name": "zero", "t": NaN}': "weight 'zero' takes no parameter 't'",
+    'curvature --weight {"name": "fock", "t": 1, "bogus": 3}':
+        "weight 'fock' takes no parameter 'bogus'",
+}
+
+
 @pytest.mark.parametrize(
     "flags",
     [
@@ -116,13 +127,18 @@ def test_invalid_configs_rejected(tmp_path, body):
         # the weight's closed forms overflow where the grid samples them
         ["verify-identity", "--weight", '{"name": "fock", "t": 1e308}'],
         ["verify-identity", "--grid-radius", "800", "--weight", "cosh-x"],
+        # a parameter key the catalog entry does not declare
+        ["curvature", "--weight", '{"name": "zero", "t": NaN}'],
+        ["curvature", "--weight", '{"name": "fock", "t": 1, "bogus": 3}'],
     ],
 )
 def test_cli_config_errors_exit_2(tmp_path, capsys, flags):
     """Each row is a subcommand and its flags."""
     rc = main([*flags, "--grid-n", "64", "--out", str(tmp_path / "r")])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert CONFIG_ERROR_NAMES.get(" ".join(flags), "") in err
     assert not (tmp_path / "r").exists()
 
 

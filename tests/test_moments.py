@@ -1,3 +1,5 @@
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,23 @@ def test_diagonal_constant_for_gaussian(gaussian_field):
 def test_diagonal_quadrature_matches_series(grid_fine, compliant_fine):
     ds = diagonal_restriction(compliant_fine)
     assert np.max(np.abs(ds.values - ds.series_values)) < 1e-8
+
+
+def _series_loop(xi_samples, m):
+    """Reference diagonal series: sum_j (-i xi)^j / j! m_j, term by term."""
+    out = np.zeros(len(xi_samples), dtype=complex)
+    for j in range(len(m)):
+        out += (-1j * xi_samples) ** j / factorial(j) * m[j]
+    return out
+
+
+@pytest.mark.parametrize("datum", ["compliant", "gaussian"])
+def test_diagonal_series_matches_term_by_term_sum(grid_default, member, gaussian_field, datum):
+    f = member.sample_dbar(grid_default) if datum == "compliant" else gaussian_field
+    ds = diagonal_restriction(f)
+    m = moments(f, 10).m
+    ref = _series_loop(ds.xi_samples, m)
+    assert np.max(np.abs(ds.series_values - ref)) < 1e-14 * max(1.0, np.max(np.abs(m)))
 
 
 def test_diagonal_csv_layout(gaussian_field):

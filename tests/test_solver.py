@@ -1,4 +1,4 @@
-from math import pi
+from math import lgamma, pi
 
 import numpy as np
 import pytest
@@ -58,6 +58,27 @@ def fock_bergman_project_dense(u):
     src = u.flat * np.exp(-np.abs(z) ** 2) * (g.spacing**2 / pi)
     K = np.exp(z[:, None] * np.conj(z)[None, :])
     return Field(g, (K @ src).reshape(g.n, g.n))
+
+
+def fock_bergman_project_loop(u, terms=120):
+    """Reference Fock projection: the series sum_k <u, e_k> e_k over the
+    orthonormal monomials e_k = z^k / sqrt(pi k!), term by term with
+    full-grid monomial arrays."""
+    g = u.grid
+    Z = g.nodes
+    h = g.spacing
+    gauss = np.exp(-(Z.real**2 + Z.imag**2))
+    out = np.zeros_like(Z)
+    mono = np.ones_like(Z)
+    monoc = np.ones_like(Z)
+    Zc = np.conj(Z)
+    for k in range(terms + 1):
+        norm = np.exp(-0.5 * (lgamma(k + 1) + np.log(pi)))
+        coeff = h * h * np.sum(monoc * u.values * gauss) * norm
+        out += coeff * norm * mono
+        mono = mono * Z
+        monoc = monoc * Zc
+    return Field(g, out)
 
 
 def gauss_norm(field):
@@ -198,6 +219,13 @@ def test_projection_series_matches_dense_kernel(member):
     ps = fock_bergman_project(u)
     pd = fock_bergman_project_dense(u)
     assert gauss_norm(ps - pd) < 1e-10
+
+
+@pytest.mark.parametrize("datum", ["member", "spectral-inverse"])
+def test_projection_matches_term_by_term_series(grid_default, member, compliant, datum):
+    u = member.sample(grid_default) if datum == "member" else dbar_invert_spectral(compliant)
+    ref = fock_bergman_project_loop(u)
+    assert gauss_norm(fock_bergman_project(u) - ref) < 1e-12 * gauss_norm(ref)
 
 
 def test_minimal_solution_bound(compliant, fock):
