@@ -39,29 +39,23 @@ def dbar_symbol(grid) -> np.ndarray:
     return 0.5 * (1j * k[:, None] - k[None, :])
 
 
-def _fd4_d1(a: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """4th-order centered first derivative; outer 2 lines left as garbage."""
-    p1 = np.roll(a, -1, axis=axis)
-    m1 = np.roll(a, 1, axis=axis)
-    p2 = np.roll(a, -2, axis=axis)
-    m2 = np.roll(a, 2, axis=axis)
-    return (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * h)
+def _spectral(v: Field, *symbols) -> tuple[Field, ...]:
+    """ifft2(symbol * fft2(v)) for each symbol, sharing one forward FFT."""
+    V = np.fft.fft2(v.values)
+    return tuple(Field(v.grid, np.fft.ifft2(sym * V), v.zero_band) for sym in symbols)
 
 
-def _fd4_d2(a: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """4th-order centered second derivative."""
-    p1 = np.roll(a, -1, axis=axis)
-    m1 = np.roll(a, 1, axis=axis)
-    p2 = np.roll(a, -2, axis=axis)
-    m2 = np.roll(a, 2, axis=axis)
+def _fd4(a: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
+    """4th-order centered derivative of order 1 or 2; outer 2 lines left as garbage."""
+    p1, m1, p2, m2 = (np.roll(a, shift, axis=axis) for shift in (-1, 1, -2, 2))
+    if order == 1:
+        return (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * h)
     return (-p2 + 16.0 * p1 - 30.0 * a + 16.0 * m1 - m2) / (12.0 * h * h)
 
 
 def _zero_band(a: np.ndarray, band: int = 2) -> np.ndarray:
-    a[:band, :] = 0.0
-    a[-band:, :] = 0.0
-    a[:, :band] = 0.0
-    a[:, -band:] = 0.0
+    a[:band] = a[-band:] = 0.0
+    a[:, :band] = a[:, -band:] = 0.0
     return a
 
 
@@ -70,10 +64,9 @@ def dbar(v: Field, scheme: str = "spectral") -> Field:
     _check_scheme(scheme)
     g = v.grid
     if scheme == "spectral":
-        out = np.fft.ifft2(dbar_symbol(g) * np.fft.fft2(v.values))
-        return Field(g, out, v.zero_band)
+        return _spectral(v, dbar_symbol(g))[0]
     h = g.spacing
-    out = 0.5 * (_fd4_d1(v.values, h, 0) + 1j * _fd4_d1(v.values, h, 1))
+    out = 0.5 * (_fd4(v.values, h, 0, 1) + 1j * _fd4(v.values, h, 1, 1))
     return Field(g, _zero_band(out), 2)
 
 
@@ -82,26 +75,31 @@ def delz(v: Field, scheme: str = "spectral") -> Field:
     return dbar(v.conj(), scheme).conj()
 
 
+def dbar_and_del(v: Field, scheme: str = "spectral") -> tuple[Field, Field]:
+    """(dbar v, del v).  The spectral pair shares one forward FFT; del's symbol
+    conj(dbar_symbol[-k]) is that of ``delz`` = conj o dbar o conj, Nyquist lines included."""
+    if scheme != "spectral":
+        return dbar(v, scheme), delz(v, scheme)
+    sym = dbar_symbol(v.grid)
+    return _spectral(v, sym, np.conj(np.roll(sym[::-1, ::-1], 1, axis=(0, 1))))
+
+
 def laplacian_hat(v: Field, scheme: str = "spectral") -> Field:
     """Normalized Laplacian (d2_x + d2_y)/4 from second-derivative symbols/stencils."""
     _check_scheme(scheme)
     g = v.grid
     if scheme == "spectral":
         k = _wavenumbers(g)
-        out = np.fft.ifft2(-0.25 * (k[:, None] ** 2 + k[None, :] ** 2) * np.fft.fft2(v.values))
-        return Field(g, out, v.zero_band)
+        return _spectral(v, -0.25 * (k[:, None] ** 2 + k[None, :] ** 2))[0]
     h = g.spacing
-    out = 0.25 * (_fd4_d2(v.values, h, 0) + _fd4_d2(v.values, h, 1))
+    out = 0.25 * (_fd4(v.values, h, 0, 2) + _fd4(v.values, h, 1, 2))
     return Field(g, _zero_band(out), 2)
 
 
 def interior_mask(grid, band: int) -> np.ndarray:
     """Boolean mask excluding the outer ``band`` rings."""
     m = np.zeros((grid.n, grid.n), dtype=bool)
-    if band <= 0:
-        m[:, :] = True
-    else:
-        m[band:-band, band:-band] = True
+    m[band : grid.n - band, band : grid.n - band] = True
     return m
 
 

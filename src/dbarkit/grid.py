@@ -148,9 +148,8 @@ def boundary_mass(v: Field, frac: float = 0.05) -> float:
     """Relative sup of |v| on the outermost ``frac`` ring of the square."""
     n = v.grid.n
     band = max(1, int(np.ceil(frac * n)))
-    mask = np.zeros((n, n), dtype=bool)
-    mask[:band, :] = mask[-band:, :] = True
-    mask[:, :band] = mask[:, -band:] = True
+    mask = np.ones((n, n), dtype=bool)
+    mask[band:-band, band:-band] = False
     peak = float(np.max(np.abs(v.values)))
     if peak == 0.0:
         return 0.0

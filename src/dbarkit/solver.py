@@ -10,8 +10,9 @@ data: for the seed-42 bump at R = 6, max|u - v| against the closed form v
 ``cauchy_transform`` is the independent quadrature of
 u(z) = (1/pi) integral f(w)/(z - w) dA(w), with the cell containing the
 target contributing zero (the kernel integrates to zero over any region
-symmetric about the target), evaluated as a zero-padded FFT convolution.
-First-order-plus accuracy, measured by the convergence tests.
+symmetric about the target), evaluated as an FFT convolution on a 2n x 2n
+pad.  Error and residual are of order 2.0: for the seed-42 bump at R = 6 the
+sup error is 8.8e-2, 2.2e-2, 5.4e-3, 1.4e-3 at n = 128, 256, 512, 1024.
 
 The growing-weight bound (constant 1/2) and the classical bound via the
 Fock-space projection are evaluated on the datum's support disk, where both
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 from math import exp, lgamma, pi, sqrt
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from . import diffops
 from .errors import DynamicRangeError, InvalidArgumentError
@@ -71,19 +71,22 @@ def support_radius(f: Field, floor: float = SUPPORT_FLOOR) -> float:
 
 
 def cauchy_transform(f: Field) -> Field:
-    """Quadrature of u(z) = (1/pi) integral f(w)/(z-w) dA(w), diagonal cell -> 0."""
+    """Quadrature of u(z) = (1/pi) integral f(w)/(z-w) dA(w), diagonal cell -> 0.
+
+    Kernel (h/pi)/(j + i k) over node offsets, circular length 2n per axis:
+    an alias of a kept index n-1 .. 2n-2 lies at >= 3n-1, past the last
+    linear-convolution entry 3n-3, so none wraps around.
+    """
     n, h = f.grid.n, f.grid.spacing
-    idx = np.arange(-(n - 1), n) * h
-    D = idx[:, None] + 1j * idx[None, :]
-    K = np.zeros_like(D)
-    nz = D != 0
-    K[nz] = h * h / (pi * D[nz])
-    m = 2 * n  # pad to avoid wraparound of the (2n-1)-wide kernel
-    Fp = np.zeros((2 * m, 2 * m), dtype=complex)
-    Fp[:n, :n] = f.values
-    Kp = np.zeros((2 * m, 2 * m), dtype=complex)
-    Kp[: 2 * n - 1, : 2 * n - 1] = K
-    conv = np.fft.ifft2(np.fft.fft2(Fp) * np.fft.fft2(Kp))
+    s = (2 * n, 2 * n)
+    j = np.arange(1 - n, n, dtype=float)
+    K = j[:, None] + 1j * j[None, :]
+    K[n - 1, n - 1] = 1.0
+    np.divide(h / pi, K, out=K)
+    K[n - 1, n - 1] = 0.0
+    K = np.fft.fft2(K, s=s)  # spectrum first, so the offsets are freed early
+    K *= np.fft.fft2(f.values, s=s)
+    conv = np.fft.ifft2(K)
     return Field(f.grid, conv[n - 1 : 2 * n - 1, n - 1 : 2 * n - 1])
 
 
@@ -168,8 +171,12 @@ def fock_bergman_project(u: Field, terms: int = 120) -> Field:
     Z = g.nodes
     gauss = np.exp(-(Z.real**2 + Z.imag**2))
     sums = _monomial_sums(np.conj(Z), u.values * gauss, terms, g.spacing)
-    norm2 = [exp(-lgamma(k + 1)) / pi for k in range(terms + 1)]
-    return Field(g, polyval(Z, sums * norm2))
+    c = sums * [exp(-lgamma(k + 1)) / pi for k in range(terms + 1)]
+    out = np.full(Z.shape, c[-1])
+    for ck in c[-2::-1]:
+        out *= Z
+        out += ck
+    return Field(g, out)
 
 
 def check_hormander_bound(f: Field, w: Weight, slack: float = 0.01) -> BoundReport:

@@ -209,7 +209,5 @@ def curvature_margin(w: Weight, grid: Grid, tolerance: float = 1e-9,
     mask = diffops.interior_mask(grid, num.zero_band)
     margin = np.zeros((grid.n, grid.n))
     margin[mask] = np.real(num.values[mask]) / lap[mask] + 2.0
-    margin[~mask] = np.nan
-    mn = float(np.nanmin(margin))
-    mf = Field(grid, np.where(mask, margin, 0.0).astype(complex))
-    return CurvatureReport(mf, mn, mn >= -tolerance, False)
+    mn = float(np.min(margin[mask]))
+    return CurvatureReport(Field(grid, margin.astype(complex)), mn, mn >= -tolerance, False)

@@ -107,6 +107,35 @@ def test_cauchy_dense_matches_fft(member):
     assert np.max(np.abs((ud - uf).values)) < 1e-10
 
 
+@pytest.mark.parametrize("n", [9, 16, 33])
+def test_cauchy_corner_spikes_do_not_wrap(n):
+    # a spike at a corner node reaches the opposite corner through the
+    # longest kernel offset, the entry a too-short pad would alias first
+    g = build_grid(6.0, n)
+    for j, k in [(0, 0), (0, n - 1), (n - 1, 0), (n - 1, n - 1), (n // 2, n // 2)]:
+        spike = np.zeros((n, n), dtype=complex)
+        spike[j, k] = 1.0
+        f = Field(g, spike)
+        assert np.max(np.abs((cauchy_transform(f) - cauchy_dense(f)).values)) < 1e-12
+
+
+def test_cauchy_fft_budget(member, monkeypatch):
+    # three 2-D transforms (datum, kernel, inverse), none past the 2n pad
+    shapes = []
+    for name in ("fft2", "ifft2"):
+        fn = getattr(np.fft, name)
+
+        def counted(a, *args, _fn=fn, **kwargs):
+            out = _fn(a, *args, **kwargs)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(f"dbarkit.solver.np.fft.{name}", counted)
+    cauchy_transform(member.sample_dbar(build_grid(6.0, 64)))
+    assert len(shapes) == 3
+    assert all(s[0] <= 128 and s[1] <= 128 for s in shapes)
+
+
 def test_cauchy_converges_to_exact_inverse(member):
     errs = []
     for n in [64, 128]:
