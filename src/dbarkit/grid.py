@@ -9,7 +9,11 @@ exactly (2R)^2.
 
 from __future__ import annotations
 
+import contextlib
 import io
+import os
+import shutil
+import tempfile
 import warnings
 from dataclasses import dataclass, field
 
@@ -23,7 +27,9 @@ from .errors import (
 )
 
 FLOAT_FMT = "%.17g"
-# nodes per write in a streamed CSV dump (about 90 kB of text)
+# a CSV dump is split into blocks of whole grid rows, one per usable CPU but
+# at most one per this many nodes (about 70 kB of text), so small grids fork
+# nothing
 CSV_CHUNK_ROWS = 1 << 10
 
 
@@ -171,20 +177,76 @@ def write_field_csv(v: Field, fh) -> None:
     """Write the CSV dump of ``v`` to the text stream ``fh``.
 
     Header re,im,val_re,val_im, then one row per node in row-major order.
-    Rows are formatted and written ``CSV_CHUNK_ROWS`` at a time, so the dump
-    never holds more than one chunk of text in memory.
+    The axis coordinates are formatted once; each grid row is then one
+    ``%`` format of its 2n value parts, written as it is made.
+
+    The grid rows are split into contiguous blocks, as many as there are
+    usable CPUs but no more than ``ceil(n^2 / CSV_CHUNK_ROWS)``. The caller's
+    process formats the first block straight into ``fh``; each other block is
+    formatted by a forked child into a temporary file, which is copied into
+    ``fh`` in row order, so the bytes are those of the serial order. With one
+    block (a small grid, one usable CPU, or no ``os.fork``) nothing is forked.
+    A failed child raises ``OSError`` naming its block.
     """
     n = v.grid.n
-    x = v.grid.axis
-    vals = v.flat
-    fmt = ",".join([FLOAT_FMT] * 4) + "\n"
+    xs = [FLOAT_FMT % x + "," for x in v.grid.axis.tolist()]
+    blocks = _csv_blocks(n)
+    cuts = [n * b // blocks for b in range(blocks + 1)]
     fh.write("re,im,val_re,val_im\n")
-    for start in range(0, n * n, CSV_CHUNK_ROWS):
-        stop = min(start + CSV_CHUNK_ROWS, n * n)
-        j, k = np.divmod(np.arange(start, stop), n)
-        chunk = vals[start:stop]
-        rows = zip(x[j].tolist(), x[k].tolist(), chunk.real.tolist(), chunk.imag.tolist())
-        fh.write("".join([fmt % row for row in rows]))
+    with contextlib.ExitStack() as files:
+        children = []  # (block, pid, file) for blocks 1.., in row order
+        # a bare fork, not a spawn pool: the child reads the field already in
+        # memory and only formats strings (no BLAS call, no lock of another
+        # thread), and importing multiprocessing would add to every set-up
+        try:
+            for b in range(1, blocks):
+                tmp = files.enter_context(tempfile.TemporaryFile("w+"))
+                pid = os.fork()
+                if pid == 0:
+                    _block_child(tmp, v.values, xs, range(cuts[b], cuts[b + 1]))
+                children.append((b, pid, tmp))
+            _format_rows(fh, v.values, xs, range(cuts[0], cuts[1]))
+        finally:
+            failed = [b for b, pid, _ in children if os.waitpid(pid, 0)[1] != 0]
+        if failed:
+            raise OSError(f"CSV block {failed[0]} of {blocks} failed in its child process")
+        for _, _, tmp in children:
+            tmp.seek(0)
+            shutil.copyfileobj(tmp, fh)
+
+
+def _csv_blocks(n: int) -> int:
+    """Number of row blocks a CSV dump of an n x n grid is split into."""
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, -(-n * n // CSV_CHUNK_ROWS))
+
+
+def _format_rows(fh, values: np.ndarray, xs: list, rows: range) -> None:
+    """Write the CSV lines of grid rows ``rows``; ``xs`` holds the formatted axis."""
+    # the line of node (j, k) is xs[j] + tails[k], so grid row j is one
+    # template xs[j] + xs[j].join(tails) holding 2n float formats
+    tails = [x + FLOAT_FMT + "," + FLOAT_FMT + "\n" for x in xs]
+    for j in rows:
+        fh.write((xs[j] + xs[j].join(tails)) % tuple(values[j].view(float).tolist()))
+
+
+def _block_child(tmp, values: np.ndarray, xs: list, rows: range):
+    """Body of a forked child: format ``rows`` into ``tmp``, then ``os._exit``.
+
+    The child never returns into the caller's stack and never flushes the
+    stdio or ``fh`` buffers it inherited, nor runs exit handlers.
+    """
+    code = 1
+    try:
+        _format_rows(tmp, values, xs, rows)
+        tmp.flush()
+        code = 0
+    except BaseException as e:  # the child's only report; it exits below either way
+        os.write(2, f"CSV block child: {type(e).__name__}: {e}\n".encode())
+    finally:
+        os._exit(code)
 
 
 def field_to_csv(v: Field) -> str:

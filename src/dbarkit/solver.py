@@ -217,9 +217,9 @@ def uniqueness_probe(u: Field, w: Weight, p: int, radii=None,
     Z = g.nodes
     h = g.spacing
     diff2 = (amplitude ** 2) * np.abs(Z ** p) ** 2
-    wgt = w.exp_phi(Z, 2.0) * w.sample_lap_hat(g)
+    dens = diff2 * (w.exp_phi(Z, 2.0) * w.sample_lap_hat(g))
     r = np.abs(Z)
-    energies = [float(h * h * np.sum((diff2 * wgt)[r < rr])) for rr in radii]
+    energies = [float(h * h * np.sum(dens[r < rr])) for rr in radii]
     first, last = energies[0], energies[-1]
     # None when the innermost disk holds no node but the outer ones carry
     # energy: the growth is real but has no finite ratio

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -335,3 +338,16 @@ def test_report_json_is_parseable_and_complete(tmp_path):
         "sharpness-lhs-pi", "sharpness-rhs-pi", "sharpness-ratio-one",
     }
     assert "solution_report" in rep["details"]["sharpness"]
+
+
+def test_cli_import_loads_no_process_pool():
+    """The CSV writer forks with bare ``os.fork``; a pool module would add set-up time."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p
+    )
+    code = ("import sys, dbarkit.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -1,9 +1,12 @@
+import io
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dbarkit import build_grid, integrate, sample, weighted_norm_sq
+from dbarkit import build_grid, grid, integrate, sample, weighted_norm_sq
 from dbarkit.bumps import BumpPoly, Poly2, random_suite
 from dbarkit.diffops import dbar
 from dbarkit.errors import InvalidArgumentError, InvalidWeightError, SamplingError
@@ -171,7 +174,7 @@ def _csv_rows_reference(v):
 
 def test_write_field_csv_streams_the_same_bytes(tmp_path):
     g = build_grid(3.0, 40)
-    assert g.node_count > CSV_CHUNK_ROWS  # more than one chunk, the last one partial
+    assert g.node_count > CSV_CHUNK_ROWS  # two row blocks where two CPUs are usable
     v = sample(lambda z: z**2 * np.exp(-np.abs(z) ** 2) + 1j / 3, g)
     path = tmp_path / "v.csv"
     with path.open("w") as fh:
@@ -179,3 +182,91 @@ def test_write_field_csv_streams_the_same_bytes(tmp_path):
     text = path.read_text()
     assert text == field_to_csv(v)
     assert text == _csv_rows_reference(v)
+
+
+def _bump_field(n):
+    return sample(lambda z: z**2 * np.exp(-np.abs(z) ** 2) + 1j / 3, build_grid(3.0, n))
+
+
+def _count_forks(monkeypatch):
+    """Wrap ``os.fork`` so the test process counts the children it forks."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def test_csv_row_blocks_write_the_serial_bytes(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0, 1, 2})
+    forks = _count_forks(monkeypatch)
+    v = _bump_field(47)  # 2209 nodes: three blocks of 15, 16 and 16 rows
+    path = tmp_path / "v.csv"
+    with path.open("w") as fh:
+        # still in fh's buffer when the children fork: a child that flushed
+        # the buffers it inherited would write it again
+        fh.write("prefix\n")
+        write_field_csv(v, fh)
+    assert len(forks) == 2
+    text = path.read_text()
+    assert text.count("prefix") == 1
+    assert text == "prefix\n" + _csv_rows_reference(v)
+
+
+def test_field_to_csv_rides_on_the_row_blocks(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0, 1, 2})
+    forks = _count_forks(monkeypatch)
+    v = _bump_field(47)
+    assert field_to_csv(v) == _csv_rows_reference(v)
+    assert len(forks) == 2
+
+
+@pytest.mark.parametrize("failing", ["child", "parent"])
+def test_csv_block_failure_reaps_every_child(monkeypatch, failing):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0, 1, 2})
+    parent = os.getpid()
+    format_rows = grid._format_rows
+
+    def flaky(fh, values, xs, rows):
+        if (os.getpid() == parent) == (failing == "parent"):
+            raise RuntimeError("formatter failed")
+        format_rows(fh, values, xs, rows)
+
+    monkeypatch.setattr(grid, "_format_rows", flaky)
+    v = _bump_field(47)
+    if failing == "child":
+        with pytest.raises(OSError, match="CSV block 1 of 3"):
+            field_to_csv(v)
+    else:
+        with pytest.raises(RuntimeError, match="formatter failed"):
+            field_to_csv(v)
+    # every child was reaped: none is left, not even a zombie
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("n,cpus,has_fork", [(8, {0, 1, 2}, True), (47, {0}, True),
+                                             (47, {0, 1, 2}, False)])
+def test_one_csv_block_forks_nothing(monkeypatch, n, cpus, has_fork):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _: cpus)
+    if has_fork:
+        def fork():
+            raise AssertionError("a one-block dump forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+    else:
+        monkeypatch.delattr(os, "fork")
+    v = _bump_field(n)
+    assert field_to_csv(v) == _csv_rows_reference(v)
+
+
+def test_csv_blocks_fall_back_to_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert [grid._csv_blocks(n) for n in (8, 32, 33, 47, 1024)] == [1, 1, 2, 3, 3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert grid._csv_blocks(1024) == 1
