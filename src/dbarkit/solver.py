@@ -17,10 +17,17 @@ sup error is 8.8e-2, 2.2e-2, 5.4e-3, 1.4e-3 at n = 128, 256, 512, 1024.
 The growing-weight bound (constant 1/2) and the classical bound via the
 Fock-space projection are evaluated on the datum's support disk, where both
 integrals agree with their plane counterparts for compliant data.
+
+The Fock projection runs on blocks of whole grid rows sized to stay in a
+core's L2 cache, spread over the usable CPUs in threads; its partial sums are
+added in block order, so its result does not depend on the CPU count and
+``--sequential`` reports stay byte-identical.  One projection at n = 1024
+takes about 0.35 s on 2 vCPUs, against 1.4 s over full-grid arrays.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from math import exp, lgamma, pi, sqrt
 
@@ -28,13 +35,16 @@ import numpy as np
 
 from . import diffops
 from .errors import DynamicRangeError, InvalidArgumentError
-from .grid import Field, weighted_norm_sq
+from .grid import Field, _usable_cpus, weighted_norm_sq
 from .moments import _monomial_sums, moments
 from .weights import EXP_CAP, Weight, curvature_margin
 
 SUPPORT_FLOOR = 1e-13
 # normalized moments above this flag the datum as non-orthogonal
 MOMENT_REL_TOL = 1e-4
+# the Fock projection works on blocks of whole grid rows of at most this many
+# nodes: a block's complex arrays (0.5 MB each) then stay in a 2 MB L2 cache
+FOCK_BLOCK_NODES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -164,19 +174,81 @@ def fock_bergman_project(u: Field, terms: int = 120) -> Field:
     monomials z^k / sqrt(pi k!); the expansion converges superexponentially
     past k ~ (support radius)^2 for data concentrated inside the grid.  The
     series sum_k <u, z^k> z^k / (pi k!) is summed by Horner's rule.
+
+    Both passes run on blocks of whole grid rows of at most
+    ``FOCK_BLOCK_NODES`` nodes (fixed by n alone), each building its nodes and
+    e^{-|z|^2} from ``grid.axis``, spread over the usable CPUs in threads
+    (``_map_blocks``).  Pass one adds the blocks' partial coefficients in
+    block order, so the result is the same to the bit for any CPU count; pass
+    two runs the Horner loop on each block's rows of the output.
     """
     g = u.grid
     if 2.0 * g.radius**2 > EXP_CAP:
         raise DynamicRangeError("fock_bergman_project: kernel exponent exceeds dynamic range")
-    Z = g.nodes
-    gauss = np.exp(-(Z.real**2 + Z.imag**2))
-    sums = _monomial_sums(np.conj(Z), u.values * gauss, terms, g.spacing)
+    n, h, x = g.n, g.spacing, g.axis
+    iy = 1j * x
+    rows = max(1, FOCK_BLOCK_NODES // n)
+    blocks = [slice(r, min(r + rows, n)) for r in range(0, n, rows)]
+    vals = u.values
+
+    def coefficients(b):
+        r = blocks[b]
+        gauss = np.exp(-(x[r, None] ** 2 + x[None, :] ** 2))
+        zc = x[r, None] + iy
+        np.conjugate(zc, out=zc)
+        return _monomial_sums(zc, vals[r] * gauss, terms, h)
+
+    sums = np.sum(_map_blocks(coefficients, len(blocks)), axis=0)
     c = sums * [exp(-lgamma(k + 1)) / pi for k in range(terms + 1)]
-    out = np.full(Z.shape, c[-1])
-    for ck in c[-2::-1]:
-        out *= Z
-        out += ck
+    out = np.empty((n, n), dtype=complex)
+
+    def horner(b):
+        r = blocks[b]
+        z = x[r, None] + iy
+        ob = out[r]
+        ob.fill(c[-1])
+        for ck in c[-2::-1]:
+            ob *= z
+            ob += ck
+
+    _map_blocks(horner, len(blocks))
     return Field(g, out)
+
+
+def _map_blocks(fn, count: int) -> list:
+    """``[fn(b) for b in range(count)]``, the blocks dealt round-robin to one
+    thread per usable CPU (the caller's among them), each taking two blocks
+    or more; the first exception of a block is raised once all have ended.
+
+    At n = 256 (two blocks) one thread beat two, 0.032 s against 0.038 s per
+    projection on 2 vCPUs: every numpy call hands the interpreter lock over.
+    ``fn`` calls no name perfbench's tracer wraps (``Grid.nodes``,
+    ``Field(...)``, a public dbarkit function, ``numpy.fft``): the tracer's
+    span stack is shared by all threads, so such a call from a worker would
+    corrupt the span tree.
+    """
+    workers = min(_usable_cpus(), count // 2)
+    if workers <= 1:
+        return [fn(b) for b in range(count)]
+    results = [None] * count
+    errors = []
+
+    def work(first):
+        try:
+            for b in range(first, count, workers):
+                results[b] = fn(b)
+        except BaseException as e:  # raised again in the caller's thread below
+            errors.append(e)
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    for t in threads:
+        t.start()
+    work(0)
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def check_hormander_bound(f: Field, w: Weight, slack: float = 0.01) -> BoundReport:

@@ -173,7 +173,7 @@ def _csv_rows_reference(v):
 
 
 def test_write_field_csv_streams_the_same_bytes(tmp_path):
-    g = build_grid(3.0, 40)
+    g = build_grid(3.0, 96)
     assert g.node_count > CSV_CHUNK_ROWS  # two row blocks where two CPUs are usable
     v = sample(lambda z: z**2 * np.exp(-np.abs(z) ** 2) + 1j / 3, g)
     path = tmp_path / "v.csv"
@@ -204,7 +204,7 @@ def _count_forks(monkeypatch):
 def test_csv_row_blocks_write_the_serial_bytes(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0, 1, 2})
     forks = _count_forks(monkeypatch)
-    v = _bump_field(47)  # 2209 nodes: three blocks of 15, 16 and 16 rows
+    v = _bump_field(129)  # 16641 nodes: three blocks of 43 rows
     path = tmp_path / "v.csv"
     with path.open("w") as fh:
         # still in fh's buffer when the children fork: a child that flushed
@@ -220,7 +220,7 @@ def test_csv_row_blocks_write_the_serial_bytes(tmp_path, monkeypatch):
 def test_field_to_csv_rides_on_the_row_blocks(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0, 1, 2})
     forks = _count_forks(monkeypatch)
-    v = _bump_field(47)
+    v = _bump_field(129)
     assert field_to_csv(v) == _csv_rows_reference(v)
     assert len(forks) == 2
 
@@ -237,7 +237,7 @@ def test_csv_block_failure_reaps_every_child(monkeypatch, failing):
         format_rows(fh, values, xs, rows)
 
     monkeypatch.setattr(grid, "_format_rows", flaky)
-    v = _bump_field(47)
+    v = _bump_field(129)
     if failing == "child":
         with pytest.raises(OSError, match="CSV block 1 of 3"):
             field_to_csv(v)
@@ -249,8 +249,8 @@ def test_csv_block_failure_reaps_every_child(monkeypatch, failing):
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("n,cpus,has_fork", [(8, {0, 1, 2}, True), (47, {0}, True),
-                                             (47, {0, 1, 2}, False)])
+@pytest.mark.parametrize("n,cpus,has_fork", [(8, {0, 1, 2}, True), (129, {0}, True),
+                                             (129, {0, 1, 2}, False)])
 def test_one_csv_block_forks_nothing(monkeypatch, n, cpus, has_fork):
     monkeypatch.setattr(os, "sched_getaffinity", lambda _: cpus)
     if has_fork:
@@ -267,6 +267,6 @@ def test_one_csv_block_forks_nothing(monkeypatch, n, cpus, has_fork):
 def test_csv_blocks_fall_back_to_cpu_count(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert [grid._csv_blocks(n) for n in (8, 32, 33, 47, 1024)] == [1, 1, 2, 3, 3]
+    assert [grid._csv_blocks(n) for n in (8, 90, 91, 128, 129, 1024)] == [1, 1, 2, 2, 3, 3]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert grid._csv_blocks(1024) == 1

@@ -1,3 +1,4 @@
+import warnings
 from math import factorial
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from dbarkit import build_grid, sample
 from dbarkit.bumps import random_suite
 from dbarkit.diffops import dbar
-from dbarkit.errors import DynamicRangeError, InvalidArgumentError
+from dbarkit.errors import BoundaryMassWarning, DynamicRangeError, InvalidArgumentError
+from dbarkit.grid import Field, boundary_mass
 from dbarkit.moments import (
     bargmann_probe,
     diagonal_restriction,
@@ -41,6 +43,49 @@ def test_gaussian_moments(grid_default, gaussian_field):
 def test_moments_rejects_negative_order(gaussian_field):
     with pytest.raises(InvalidArgumentError):
         moments(gaussian_field, -1)
+
+
+def _moment_warnings(f, J):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        moments(f, J)
+    return [str(w.message) for w in caught if issubclass(w.category, BoundaryMassWarning)]
+
+
+def _spike(n, node):
+    """A unit value at the center node and a small one at ``node``."""
+    v = np.zeros((n, n), dtype=complex)
+    v[n // 2, n // 2] = 1.0
+    v[node] = 1e-3 - 2e-3j
+    return Field(build_grid(6.0, n), v)
+
+
+@pytest.mark.parametrize("datum", [
+    "wide-gaussian",
+    # a spike on the innermost row and column of the outer 5% ring (4 nodes
+    # wide at n = 64), and one just inside it
+    "ring-row", "ring-column", "inside-ring",
+])
+def test_moments_boundary_mass_warning(datum):
+    n, J = 64, 10
+    if datum == "wide-gaussian":
+        f = sample(lambda z: np.exp(-np.abs(z) ** 2 / 8.0), build_grid(6.0, n))
+    else:
+        node = {"ring-row": (n - 4, 30), "ring-column": (20, 3), "inside-ring": (4, 59)}[datum]
+        f = _spike(n, node)
+    # the warning reads the ring of |f| (|z| / zmax)^J over the whole grid
+    z = f.grid.nodes
+    m = boundary_mass(Field(f.grid, f.values * (np.abs(z) / (np.sqrt(2.0) * 6.0)) ** J))
+    got = _moment_warnings(f, J)
+    if datum == "inside-ring":
+        assert m < 1e-6 and got == []
+    else:
+        assert m > 1e-6
+        assert len(got) == 1 and f"{m:.3e}" in got[0]
+
+
+def test_compliant_datum_moments_warn_nothing(grid_fine, compliant_fine):
+    assert _moment_warnings(compliant_fine, 10) == []
 
 
 def test_compliant_datum_moments_vanish(grid_fine, compliant_fine):

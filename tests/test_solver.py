@@ -1,12 +1,14 @@
+import sys
+import threading
 from math import lgamma, pi
 
 import numpy as np
 import pytest
 
-from dbarkit import build_grid, custom_weight, fock_weight, sample
+from dbarkit import build_grid, custom_weight, fock_weight, sample, solver
 from dbarkit.bumps import random_suite
 from dbarkit.errors import DynamicRangeError, InvalidArgumentError, WeightInvariantViolationError
-from dbarkit.grid import Field
+from dbarkit.grid import Field, Grid
 from dbarkit.solver import (
     cauchy_transform,
     check_hormander_bound,
@@ -255,6 +257,83 @@ def test_projection_matches_term_by_term_series(grid_default, member, compliant,
     u = member.sample(grid_default) if datum == "member" else dbar_invert_spectral(compliant)
     ref = fock_bergman_project_loop(u)
     assert gauss_norm(fock_bergman_project(u) - ref) < 1e-12 * gauss_norm(ref)
+
+
+@pytest.fixture(scope="module")
+def inverse512(member):
+    # eight row blocks of 64 rows: three CPUs give three threads
+    return dbar_invert_spectral(member.sample_dbar(build_grid(6.0, 512)))
+
+
+def _block_threads(monkeypatch):
+    """Wrap the block kernel so the test records the threads it ran on."""
+    seen = set()
+    kernel = solver._monomial_sums
+
+    def recorded(*args):
+        seen.add(threading.get_ident())
+        return kernel(*args)
+
+    monkeypatch.setattr(solver, "_monomial_sums", recorded)
+    return seen
+
+
+def test_projection_is_bit_identical_for_any_cpu_count(inverse512, monkeypatch):
+    seen = _block_threads(monkeypatch)
+    outs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads switch as often as they can
+    try:
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(solver, "_usable_cpus", lambda c=cpus: c)
+            seen.clear()
+            outs.append(fock_bergman_project(inverse512).values)
+            assert len(seen) == cpus
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(outs[0], outs[1])
+    assert np.array_equal(outs[0], outs[2])
+
+
+def test_two_block_grid_stays_on_the_callers_thread(grid_default, member, monkeypatch):
+    seen = _block_threads(monkeypatch)
+    monkeypatch.setattr(solver, "_usable_cpus", lambda: 4)
+    fock_bergman_project(member.sample(grid_default))
+    assert seen == {threading.get_ident()}
+
+
+def test_projection_blocks_of_uneven_rows_match_the_series(member):
+    # 300 rows make blocks of 109, 109 and 82 rows
+    u = member.sample(build_grid(6.0, 300))
+    ref = fock_bergman_project_loop(u)
+    assert gauss_norm(fock_bergman_project(u) - ref) < 1e-12 * gauss_norm(ref)
+
+
+@pytest.mark.parametrize("failing", [0, 5])  # a block of the caller's thread, one of a worker's
+def test_projection_block_failure_reaches_the_caller(inverse512, monkeypatch, failing):
+    monkeypatch.setattr(solver, "_usable_cpus", lambda: 3)
+    kernel = solver._monomial_sums
+    first_x = inverse512.grid.axis[64 * failing]
+
+    def flaky(z, *args):
+        if z[0, 0].real == first_x:
+            raise RuntimeError(f"block {failing} failed")
+        return kernel(z, *args)
+
+    monkeypatch.setattr(solver, "_monomial_sums", flaky)
+    baseline = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"block {failing} failed"):
+        fock_bergman_project(inverse512)
+    assert threading.active_count() == baseline
+
+
+def test_projection_builds_no_node_array(inverse512, monkeypatch):
+    def no_nodes(grid):
+        raise AssertionError("Grid.nodes called")
+
+    monkeypatch.setattr(Grid, "nodes", property(no_nodes))
+    monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
+    assert np.all(np.isfinite(fock_bergman_project(inverse512).values))
 
 
 def test_minimal_solution_bound(compliant, fock):
