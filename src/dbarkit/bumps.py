@@ -32,8 +32,14 @@ class Poly2:
     def __call__(self, z):
         out = np.zeros(np.shape(z), dtype=complex)
         zb = np.conj(z)
+        # each power once, as ``z**k`` itself: numpy's complex power differs
+        # in the last bit from products of z where its multiply uses FMA
+        zk = {a: z**a for a in {a for (a, _), _ in self.coeffs}}
+        zbk = {b: zb**b for b in {b for (_, b), _ in self.coeffs}}
         for (a, b), c in self.coeffs:
-            out = out + c * z**a * zb**b
+            term = c * zk[a]
+            term *= zbk[b]
+            out += term
         return out
 
     def dz(self) -> "Poly2":

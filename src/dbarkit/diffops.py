@@ -12,6 +12,13 @@ The operators are dbar = (d/dx + i d/dy)/2, del = (d/dx - i d/dy)/2 and the
 normalized Laplacian (d2/dx2 + d2/dy2)/4.  ``delz`` is implemented as
 conj o dbar o conj, which makes the conjugation identity
 delz(conj(v)) == conj(dbar(v)) hold bit-for-bit.
+
+Spectral operators transform through ``_fft2``, which gives numpy's
+``fft2``/``ifft2`` to the bit from 1-D transforms over blocks of whole rows
+and then whole columns, spread over the usable CPUs, with each symbol built
+row block by row block inside the inverse's row pass.  One 2-D transform at
+n = 1024 takes about 29 ms on 2 vCPUs against 42 ms for ``np.fft.fft2``, and
+at n = 2048 about 130 against 230 ms.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .grid import Field
+from .grid import Field, _line_blocks, _map_blocks
 
 SCHEMES = ("spectral", "fd4")
 
@@ -33,16 +40,51 @@ def _wavenumbers(grid):
     return 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)
 
 
-def dbar_symbol(grid) -> np.ndarray:
-    """Fourier symbol (i k_x - k_y)/2 of dbar on the periodic grid; a fresh array."""
-    k = _wavenumbers(grid)
-    return 0.5 * (1j * k[:, None] - k[None, :])
+def _dbar_symbol(k: np.ndarray, rows: slice) -> np.ndarray:
+    """Rows ``rows`` of dbar's Fourier symbol (i k_x - k_y)/2 over wavenumbers ``k``."""
+    return 0.5 * (1j * k[rows, None] - k[None, :])
+
+
+def _fft2(rows, shape, inverse=False, height=None, columns=None, out=None) -> np.ndarray:
+    """``np.fft.fft2`` (``ifft2`` if ``inverse``) to the bit, of the array of
+    ``shape`` whose rows below ``height`` (default all) are ``rows(r)`` for a
+    slice ``r``, zero-padded on the right, and whose other rows are zero.
+
+    numpy's order, each block one 1-D transform written in place into ``out``
+    (a new array by default): axis 1 over blocks of whole rows, then axis 0
+    over blocks of whole columns. The blocks hold at most ``BLOCK_NODES``
+    nodes and go to ``_map_blocks``, so an n = 256 grid stays on the caller's
+    thread; pocketfft releases the interpreter lock, so more threads pay from
+    n = 512. The axis-0 pass runs on ``columns`` only (a slice, default all);
+    the other columns are left after the row pass. ``rows`` runs in the
+    worker threads and may write into its rows of ``out``.
+    """
+    m0, m1 = shape
+    height = m0 if height is None else height
+    out = np.empty(shape, dtype=complex) if out is None else out
+    out[height:] = 0.0
+    fft = np.fft.ifft if inverse else np.fft.fft
+    cols = range(m1)[columns] if columns else range(m1)
+
+    def row_pass(r):
+        fft(rows(r), n=m1, axis=1, out=out[r])
+
+    def column_pass(c):
+        fft(out[:, c], axis=0, out=out[:, c])
+
+    _map_blocks(row_pass, _line_blocks(0, height, m1))
+    _map_blocks(column_pass, _line_blocks(cols.start, cols.stop, m0))
+    return out
 
 
 def _spectral(v: Field, *symbols) -> tuple[Field, ...]:
-    """ifft2(symbol * fft2(v)) for each symbol, sharing one forward FFT."""
-    V = np.fft.fft2(v.values)
-    return tuple(Field(v.grid, np.fft.ifft2(sym * V), v.zero_band) for sym in symbols)
+    """ifft2(symbol * fft2(v)) for each symbol, sharing one forward FFT; a
+    symbol is a function of a row slice giving those rows of it, built block
+    by block in the inverse's row pass."""
+    a = v.values
+    V = _fft2(lambda r: a[r], a.shape)
+    return tuple(Field(v.grid, _fft2(lambda r, s=s: s(r) * V[r], a.shape, inverse=True),
+                       v.zero_band) for s in symbols)
 
 
 def _fd4(a: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
@@ -64,7 +106,8 @@ def dbar(v: Field, scheme: str = "spectral") -> Field:
     _check_scheme(scheme)
     g = v.grid
     if scheme == "spectral":
-        return _spectral(v, dbar_symbol(g))[0]
+        k = _wavenumbers(g)
+        return _spectral(v, lambda r: _dbar_symbol(k, r))[0]
     h = g.spacing
     out = 0.5 * (_fd4(v.values, h, 0, 1) + 1j * _fd4(v.values, h, 1, 1))
     return Field(g, _zero_band(out), 2)
@@ -77,11 +120,13 @@ def delz(v: Field, scheme: str = "spectral") -> Field:
 
 def dbar_and_del(v: Field, scheme: str = "spectral") -> tuple[Field, Field]:
     """(dbar v, del v).  The spectral pair shares one forward FFT; del's symbol
-    conj(dbar_symbol[-k]) is that of ``delz`` = conj o dbar o conj, Nyquist lines included."""
+    conj(dbar symbol[-k]) is that of ``delz`` = conj o dbar o conj, Nyquist lines included."""
     if scheme != "spectral":
         return dbar(v, scheme), delz(v, scheme)
-    sym = dbar_symbol(v.grid)
-    return _spectral(v, sym, np.conj(np.roll(sym[::-1, ::-1], 1, axis=(0, 1))))
+    k = _wavenumbers(v.grid)
+    kneg = k[-np.arange(v.grid.n)]  # k[-j mod n]
+    return _spectral(v, lambda r: _dbar_symbol(k, r),
+                     lambda r: np.conj(_dbar_symbol(kneg, r)))
 
 
 def laplacian_hat(v: Field, scheme: str = "spectral") -> Field:
@@ -90,7 +135,7 @@ def laplacian_hat(v: Field, scheme: str = "spectral") -> Field:
     g = v.grid
     if scheme == "spectral":
         k = _wavenumbers(g)
-        return _spectral(v, -0.25 * (k[:, None] ** 2 + k[None, :] ** 2))[0]
+        return _spectral(v, lambda r: -0.25 * (k[r, None] ** 2 + k[None, :] ** 2))[0]
     h = g.spacing
     out = 0.25 * (_fd4(v.values, h, 0, 2) + _fd4(v.values, h, 1, 2))
     return Field(g, _zero_band(out), 2)

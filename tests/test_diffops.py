@@ -1,11 +1,14 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dbarkit import build_grid, integrate, sample
+from dbarkit import build_grid, grid, integrate, sample
 from dbarkit.bumps import BumpPoly, Poly2
-from dbarkit.diffops import dbar, delz, interior_max, laplacian_hat
+from dbarkit.diffops import _fft2, dbar, dbar_and_del, delz, interior_max, laplacian_hat
 from dbarkit.errors import InvalidArgumentError
 from dbarkit.grid import Field
 
@@ -195,3 +198,88 @@ def test_discrete_dbar_matches_closed_form(bump_member):
         errs.append(interior_max(dbar(v, "spectral") - exact))
     assert errs[1] < errs[0]
     assert errs[1] < 1e-5
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _bit_identical(a, b):
+    return a.shape == b.shape and np.array_equal(_bits(a), _bits(b))
+
+
+@pytest.mark.parametrize("n", [8, 256, 300, 1024])
+def test_fft2_helper_is_numpys_fft2_for_any_cpu_count(n, monkeypatch):
+    # 300 rows make row and column blocks of 109, 109 and 82
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    sym = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    V = np.fft.fft2(a)
+    refs = (V, np.fft.ifft2(sym * V))
+    seen = set()
+
+    def rows(r):
+        seen.add(threading.get_ident())
+        return a[r]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads switch as often as they can
+    try:
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(grid, "_usable_cpus", lambda c=cpus: c)
+            seen.clear()
+            outs = (_fft2(rows, a.shape),
+                    _fft2(lambda r: sym[r] * V[r], a.shape, inverse=True))
+            assert all(_bit_identical(o, ref) for o, ref in zip(outs, refs)), cpus
+            # each thread takes two blocks or more: only n = 1024 (32 row blocks) spreads
+            assert len(seen) == (cpus if n == 1024 else 1)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_fft2_helper_pads_and_prunes_like_numpy(monkeypatch):
+    # 40 nonzero rows of width 30 in a 96 x 96 pad; columns 20..59 transformed
+    monkeypatch.setattr(grid, "_usable_cpus", lambda: 2)
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((40, 30)) + 1j * rng.standard_normal((40, 30))
+    ref = np.fft.fft2(a, s=(96, 96))
+    out = _fft2(lambda r: a[r], (96, 96), height=40)
+    assert _bit_identical(out, ref)
+    keep = slice(20, 60)
+    inv = _fft2(lambda r: ref[r], (96, 96), inverse=True, columns=keep)
+    assert _bit_identical(inv[:, keep], np.fft.ifft2(ref)[:, keep])
+
+
+@pytest.mark.parametrize("failing", [0, 64])  # a block of the caller's thread, one of a worker's
+def test_fft2_block_failure_reaches_the_caller(monkeypatch, failing):
+    monkeypatch.setattr(grid, "_usable_cpus", lambda: 3)
+    a = np.ones((512, 512), dtype=complex)
+
+    def rows(r):
+        if r.start == failing:
+            raise RuntimeError(f"rows {failing} failed")
+        return a[r]
+
+    baseline = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"rows {failing} failed"):
+        _fft2(rows, a.shape)
+    assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("n", [9, 300, 512])
+def test_spectral_operators_match_full_grid_symbols(bump_member, monkeypatch, n):
+    # the symbols as full-grid arrays, each operator one ifft2(sym * fft2(v))
+    monkeypatch.setattr(grid, "_usable_cpus", lambda: 2)
+    g = build_grid(6.0, n)
+    v = bump_member.sample(g)
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=g.spacing)
+    sym = 0.5 * (1j * k[:, None] - k[None, :])
+    V = np.fft.fft2(v.values)
+    dbar_ref = np.fft.ifft2(sym * V)
+    del_ref = np.fft.ifft2(np.conj(np.roll(sym[::-1, ::-1], 1, axis=(0, 1))) * V)
+    lap_ref = np.fft.ifft2(-0.25 * (k[:, None] ** 2 + k[None, :] ** 2) * V)
+    dv, delv = dbar_and_del(v)
+    assert _bit_identical(dv.values, dbar_ref)
+    assert _bit_identical(delv.values, del_ref)
+    assert _bit_identical(dbar(v).values, dbar_ref)
+    assert _bit_identical(laplacian_hat(v).values, lap_ref)

@@ -47,6 +47,29 @@ def test_cell_centering_avoids_origin(n, radius):
     assert np.min(np.abs(g.nodes)) > 0
 
 
+@pytest.mark.parametrize("n", [8, 9, 65])
+def test_nodes_match_the_meshgrid_sum(n):
+    # odd n puts a node at the origin: its signed zeros must match too
+    g = build_grid(3.0, n)
+    X, Y = np.meshgrid(g.axis, g.axis, indexing="ij")
+    ref = X + 1j * Y
+    assert np.array_equal(g.nodes.view(np.int64), ref.view(np.int64))
+
+
+def test_poly2_matches_the_term_by_term_powers():
+    # random points, the four signed complex zeros, and a derivative polynomial
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
+    z[:4] = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    zb = np.conj(z)
+    for poly in (random_suite(1, 42)[0].poly, random_suite(1, 5)[0].poly.dz(),
+                 Poly2.from_dict({(0, 0): 1.0, (2, 1): 0.5})):
+        ref = np.zeros(z.shape, dtype=complex)
+        for (a, b), c in poly.coeffs:
+            ref = ref + c * z**a * zb**b
+        assert np.array_equal(poly(z).view(np.int64), ref.view(np.int64))
+
+
 def test_sample_zero_and_identity():
     g = build_grid(1.0, 8)
     z0 = sample(lambda z: np.zeros_like(z), g)

@@ -5,7 +5,7 @@ from math import lgamma, pi
 import numpy as np
 import pytest
 
-from dbarkit import build_grid, custom_weight, fock_weight, sample, solver
+from dbarkit import build_grid, custom_weight, fock_weight, grid, sample, solver
 from dbarkit.bumps import random_suite
 from dbarkit.errors import DynamicRangeError, InvalidArgumentError, WeightInvariantViolationError
 from dbarkit.grid import Field, Grid
@@ -121,21 +121,56 @@ def test_cauchy_corner_spikes_do_not_wrap(n):
         assert np.max(np.abs((cauchy_transform(f) - cauchy_dense(f)).values)) < 1e-12
 
 
+def cauchy_fft2(f):
+    """Reference Cauchy transform: the whole-array 2-D FFTs on the 2n x 2n pad
+    that ``cauchy_transform`` reproduces bit for bit."""
+    n, h = f.grid.n, f.grid.spacing
+    s = (2 * n, 2 * n)
+    j = np.arange(1 - n, n, dtype=float)
+    K = j[:, None] + 1j * j[None, :]
+    K[n - 1, n - 1] = 1.0
+    np.divide(h / pi, K, out=K)
+    K[n - 1, n - 1] = 0.0
+    K = np.fft.fft2(K, s=s)
+    K *= np.fft.fft2(f.values, s=s)
+    conv = np.fft.ifft2(K)
+    return conv[n - 1 : 2 * n - 1, n - 1 : 2 * n - 1]
+
+
+@pytest.mark.parametrize("n", [64, 300, 512])
+def test_cauchy_is_bit_identical_to_whole_array_ffts(member, monkeypatch, n):
+    # three threads from n = 300 (12 and 32 row blocks of the 2n pad)
+    monkeypatch.setattr(grid, "_usable_cpus", lambda: 3)
+    f = member.sample_dbar(build_grid(6.0, n))
+    ref = cauchy_fft2(f)
+    out = cauchy_transform(f).values
+    assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+
+
 def test_cauchy_fft_budget(member, monkeypatch):
-    # three 2-D transforms (datum, kernel, inverse), none past the 2n pad
-    shapes = []
-    for name in ("fft2", "ifft2"):
+    # 1-D transforms only, none past the 2n pad: the datum's n rows and 2n
+    # columns, the kernel's 2n - 1 rows and 2n columns, and the inverse's 2n
+    # rows and n kept columns
+    n = 64
+    lengths = []
+    lines = {"fft": 0, "ifft": 0}
+    for name in ("fft", "ifft"):
         fn = getattr(np.fft, name)
 
-        def counted(a, *args, _fn=fn, **kwargs):
+        def counted(a, *args, _fn=fn, _name=name, **kwargs):
             out = _fn(a, *args, **kwargs)
-            shapes.append(out.shape)
+            length = out.shape[kwargs.get("axis", -1)]
+            lengths.append(length)
+            lines[_name] += out.size // length
             return out
 
-        monkeypatch.setattr(f"dbarkit.solver.np.fft.{name}", counted)
-    cauchy_transform(member.sample_dbar(build_grid(6.0, 64)))
-    assert len(shapes) == 3
-    assert all(s[0] <= 128 and s[1] <= 128 for s in shapes)
+        monkeypatch.setattr(np.fft, name, counted)
+    for name in ("fft2", "ifft2"):
+        monkeypatch.setattr(np.fft, name, None)
+    cauchy_transform(member.sample_dbar(build_grid(6.0, n)))
+    assert max(lengths) <= 2 * n
+    assert lines["fft"] <= (n + 2 * n) + (2 * n + 2 * n)
+    assert lines["ifft"] <= 2 * n + n
 
 
 def test_cauchy_converges_to_exact_inverse(member):
@@ -285,7 +320,7 @@ def test_projection_is_bit_identical_for_any_cpu_count(inverse512, monkeypatch):
     sys.setswitchinterval(1e-6)  # threads switch as often as they can
     try:
         for cpus in (1, 2, 3):
-            monkeypatch.setattr(solver, "_usable_cpus", lambda c=cpus: c)
+            monkeypatch.setattr(grid, "_usable_cpus", lambda c=cpus: c)
             seen.clear()
             outs.append(fock_bergman_project(inverse512).values)
             assert len(seen) == cpus
@@ -297,7 +332,7 @@ def test_projection_is_bit_identical_for_any_cpu_count(inverse512, monkeypatch):
 
 def test_two_block_grid_stays_on_the_callers_thread(grid_default, member, monkeypatch):
     seen = _block_threads(monkeypatch)
-    monkeypatch.setattr(solver, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(grid, "_usable_cpus", lambda: 4)
     fock_bergman_project(member.sample(grid_default))
     assert seen == {threading.get_ident()}
 
@@ -311,7 +346,7 @@ def test_projection_blocks_of_uneven_rows_match_the_series(member):
 
 @pytest.mark.parametrize("failing", [0, 5])  # a block of the caller's thread, one of a worker's
 def test_projection_block_failure_reaches_the_caller(inverse512, monkeypatch, failing):
-    monkeypatch.setattr(solver, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(grid, "_usable_cpus", lambda: 3)
     kernel = solver._monomial_sums
     first_x = inverse512.grid.axis[64 * failing]
 
@@ -332,7 +367,7 @@ def test_projection_builds_no_node_array(inverse512, monkeypatch):
         raise AssertionError("Grid.nodes called")
 
     monkeypatch.setattr(Grid, "nodes", property(no_nodes))
-    monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(grid, "_usable_cpus", lambda: 2)
     assert np.all(np.isfinite(fock_bergman_project(inverse512).values))
 
 
@@ -363,6 +398,15 @@ def test_uniqueness_probe_energies_blow_up(compliant, fock, p):
     d = uniqueness_probe(rep.u, fock, p)
     assert d["monotone"]
     assert d["growth_ratio"] > 1e3
+
+
+def test_uniqueness_probe_degrees_share_one_call(compliant, fock):
+    rep = solve_dbar(compliant, fock)
+    radii = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    tables = uniqueness_probe(rep.u, fock, range(4), radii=radii)
+    assert tables == [uniqueness_probe(rep.u, fock, p, radii=radii) for p in range(4)]
+    with pytest.raises(InvalidArgumentError):
+        uniqueness_probe(rep.u, fock, [0, 4])
 
 
 def test_uniqueness_probe_zero_amplitude(compliant, fock):
