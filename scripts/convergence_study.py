@@ -37,7 +37,7 @@ def main() -> None:
         f = m0.sample_dbar(g)
         u = cauchy_transform(f)
         sol_err = interior_max(u - m0.sample(g), extra_band=2)
-        res = interior_max(dbar(u, "spectral") - f, extra_band=2)
+        res = interior_max(dbar(u) - f, extra_band=2)
         rows.append((n, identity_err, sol_err, res))
 
     print(f"{'n':>6} {'identity_rel':>14} {'cauchy_err':>12} {'residual':>12}"

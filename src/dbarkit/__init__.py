@@ -1,18 +1,10 @@
 """dbarkit: numerical verification toolkit for the dbar-equation on the
 plane with growing weights."""
 
-from .grid import Field, Grid, build_grid, field_to_csv, integrate, sample, weighted_norm_sq
+from .grid import Field, Grid, build_grid, field_to_csv, sample, weighted_norm_sq
 from .diffops import dbar, delz, laplacian_hat
 from .weights import CurvatureReport, Weight, curvature_margin, custom_weight, fock_weight
-from .identity import (
-    IdentityReport,
-    apply_T,
-    apply_Tstar,
-    from_dual_picture,
-    kernel_check,
-    to_dual_picture,
-    verify_norm_identity,
-)
+from .identity import IdentityReport, verify_norm_identity
 from .solver import (
     BoundReport,
     SolutionReport,
@@ -30,7 +22,6 @@ from .moments import (
     diagonal_restriction,
     fourier2,
     moments,
-    pairing,
 )
 
 __version__ = "0.1.0"

@@ -1,17 +1,11 @@
 """Discrete complex differential operators on cell-centered grids.
 
-Two schemes:
-
-* ``spectral`` -- FFT differentiation treating the field as periodic on the
-  square.  Legitimate only for fields that vanish near the boundary.
-* ``fd4`` -- 4th-order centered finite differences.  No one-sided stencils:
-  the outermost two rings of the result are zeroed and flagged via the
-  field's ``zero_band``.
-
 The operators are dbar = (d/dx + i d/dy)/2, del = (d/dx - i d/dy)/2 and the
-normalized Laplacian (d2/dx2 + d2/dy2)/4.  ``delz`` is implemented as
-conj o dbar o conj, which makes the conjugation identity
-delz(conj(v)) == conj(dbar(v)) hold bit-for-bit.
+normalized Laplacian (d2/dx2 + d2/dy2)/4, all spectral: FFT differentiation
+treating the field as periodic on the square, legitimate only for fields
+that vanish near the boundary.  ``delz`` is implemented as conj o dbar o
+conj, which makes the conjugation identity delz(conj(v)) == conj(dbar(v))
+hold bit-for-bit.
 
 Spectral operators transform through ``_fft2``, which gives numpy's
 ``fft2``/``ifft2`` to the bit from 1-D transforms over blocks of whole rows
@@ -27,13 +21,6 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .grid import Field, _line_blocks, _map_blocks
-
-SCHEMES = ("spectral", "fd4")
-
-
-def _check_scheme(scheme):
-    if scheme not in SCHEMES:
-        raise InvalidArgumentError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
 
 def _wavenumbers(grid):
@@ -83,62 +70,38 @@ def _spectral(v: Field, *symbols) -> tuple[Field, ...]:
     by block in the inverse's row pass."""
     a = v.values
     V = _fft2(lambda r: a[r], a.shape)
-    return tuple(Field(v.grid, _fft2(lambda r, s=s: s(r) * V[r], a.shape, inverse=True),
-                       v.zero_band) for s in symbols)
-
-
-def _fd4(a: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
-    """4th-order centered derivative of order 1 or 2; outer 2 lines left as garbage."""
-    p1, m1, p2, m2 = (np.roll(a, shift, axis=axis) for shift in (-1, 1, -2, 2))
-    if order == 1:
-        return (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * h)
-    return (-p2 + 16.0 * p1 - 30.0 * a + 16.0 * m1 - m2) / (12.0 * h * h)
-
-
-def _zero_band(a: np.ndarray, band: int = 2) -> np.ndarray:
-    a[:band] = a[-band:] = 0.0
-    a[:, :band] = a[:, -band:] = 0.0
-    return a
+    return tuple(Field(v.grid, _fft2(lambda r, s=s: s(r) * V[r], a.shape, inverse=True))
+                 for s in symbols)
 
 
 def dbar(v: Field, scheme: str = "spectral") -> Field:
     """Discrete dbar = (d_x + i d_y)/2."""
-    _check_scheme(scheme)
-    g = v.grid
-    if scheme == "spectral":
-        k = _wavenumbers(g)
-        return _spectral(v, lambda r: _dbar_symbol(k, r))[0]
-    h = g.spacing
-    out = 0.5 * (_fd4(v.values, h, 0, 1) + 1j * _fd4(v.values, h, 1, 1))
-    return Field(g, _zero_band(out), 2)
-
-
-def delz(v: Field, scheme: str = "spectral") -> Field:
-    """Discrete del = (d_x - i d_y)/2, via conj o dbar o conj."""
-    return dbar(v.conj(), scheme).conj()
-
-
-def dbar_and_del(v: Field, scheme: str = "spectral") -> tuple[Field, Field]:
-    """(dbar v, del v).  The spectral pair shares one forward FFT; del's symbol
-    conj(dbar symbol[-k]) is that of ``delz`` = conj o dbar o conj, Nyquist lines included."""
+    # ``scheme`` admits "spectral" alone: kept since the benchmark's convergence
+    # workload passes it, until the benchmark-upkeep change (ROADMAP item 7)
     if scheme != "spectral":
-        return dbar(v, scheme), delz(v, scheme)
+        raise InvalidArgumentError(f"unknown scheme {scheme!r}; only 'spectral' is supported")
+    k = _wavenumbers(v.grid)
+    return _spectral(v, lambda r: _dbar_symbol(k, r))[0]
+
+
+def delz(v: Field) -> Field:
+    """Discrete del = (d_x - i d_y)/2, via conj o dbar o conj."""
+    return dbar(v.conj()).conj()
+
+
+def dbar_and_del(v: Field) -> tuple[Field, Field]:
+    """(dbar v, del v) from one forward FFT; del's symbol conj(dbar symbol[-k])
+    is that of ``delz`` = conj o dbar o conj, Nyquist lines included."""
     k = _wavenumbers(v.grid)
     kneg = k[-np.arange(v.grid.n)]  # k[-j mod n]
     return _spectral(v, lambda r: _dbar_symbol(k, r),
                      lambda r: np.conj(_dbar_symbol(kneg, r)))
 
 
-def laplacian_hat(v: Field, scheme: str = "spectral") -> Field:
-    """Normalized Laplacian (d2_x + d2_y)/4 from second-derivative symbols/stencils."""
-    _check_scheme(scheme)
-    g = v.grid
-    if scheme == "spectral":
-        k = _wavenumbers(g)
-        return _spectral(v, lambda r: -0.25 * (k[r, None] ** 2 + k[None, :] ** 2))[0]
-    h = g.spacing
-    out = 0.25 * (_fd4(v.values, h, 0, 2) + _fd4(v.values, h, 1, 2))
-    return Field(g, _zero_band(out), 2)
+def laplacian_hat(v: Field) -> Field:
+    """Normalized Laplacian (d2_x + d2_y)/4 from the second-derivative symbols."""
+    k = _wavenumbers(v.grid)
+    return _spectral(v, lambda r: -0.25 * (k[r, None] ** 2 + k[None, :] ** 2))[0]
 
 
 def interior_mask(grid, band: int) -> np.ndarray:
@@ -149,6 +112,5 @@ def interior_mask(grid, band: int) -> np.ndarray:
 
 
 def interior_max(v: Field, extra_band: int = 0) -> float:
-    """Sup norm over nodes outside any zeroed band."""
-    band = v.zero_band + extra_band
-    return float(np.max(np.abs(v.values[interior_mask(v.grid, band)])))
+    """Sup norm over nodes outside the outer ``extra_band`` rings."""
+    return float(np.max(np.abs(v.values[interior_mask(v.grid, extra_band)])))

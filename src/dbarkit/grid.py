@@ -72,15 +72,10 @@ class Grid:
 
 @dataclass(frozen=True)
 class Field:
-    """Complex-valued function sampled on a Grid.
-
-    ``zero_band`` records how many boundary rings were zeroed by a
-    finite-difference operator (0 for data and spectral results).
-    """
+    """Complex-valued function sampled on a Grid."""
 
     grid: Grid
     values: np.ndarray
-    zero_band: int = 0
 
     def __post_init__(self):
         v = np.array(self.values, dtype=complex)
@@ -101,36 +96,32 @@ class Field:
         return self.values.reshape(-1)
 
     def __add__(self, other):
-        return Field(self.grid, self.values + _vals(other), max(self.zero_band, _band(other)))
+        return Field(self.grid, self.values + _vals(other))
 
     def __sub__(self, other):
-        return Field(self.grid, self.values - _vals(other), max(self.zero_band, _band(other)))
+        return Field(self.grid, self.values - _vals(other))
 
     def __mul__(self, other):
-        return Field(self.grid, self.values * _vals(other), max(self.zero_band, _band(other)))
+        return Field(self.grid, self.values * _vals(other))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Field(self.grid, -self.values, self.zero_band)
+        return Field(self.grid, -self.values)
 
     def conj(self) -> "Field":
-        return Field(self.grid, np.conj(self.values), self.zero_band)
+        return Field(self.grid, np.conj(self.values))
 
 
 def _vals(x):
     return x.values if isinstance(x, Field) else x
 
 
-def _band(x):
-    return x.zero_band if isinstance(x, Field) else 0
-
-
 def build_grid(radius: float, n: int) -> Grid:
-    if not radius > 0:
-        raise InvalidArgumentError(f"radius must be positive, got {radius}")
-    if n < 8:
-        raise InvalidArgumentError(f"n must be at least 8, got {n}")
+    if not (np.isfinite(radius) and radius > 0):
+        raise InvalidArgumentError(f"radius must be a finite positive number, got {radius}")
+    if not float(n).is_integer() or n < 8:
+        raise InvalidArgumentError(f"n must be an integer of at least 8, got {n}")
     return Grid(float(radius), int(n))
 
 
@@ -142,18 +133,14 @@ def sample(fn, grid: Grid) -> Field:
     return Field(grid, np.broadcast_to(vals, (grid.n, grid.n)))
 
 
-def integrate(v: Field) -> complex:
-    """Midpoint-rule area integral: h^2 * sum of node values."""
-    h = v.grid.spacing
-    return complex(h * h * np.sum(v.values))
-
-
 def weighted_norm_sq(v: Field, w) -> float:
-    """Integral of |v|^2 * w; w is a Field, array or scalar of strictly positive reals."""
+    """Integral of |v|^2 * w; w is a Field, array or scalar of positive finite reals."""
     wv = _vals(w)
     wr = np.real(wv)
-    if np.any(wr <= 0) or (np.iscomplexobj(wv) and np.any(np.imag(wv) != 0)):
-        raise InvalidWeightError("quadrature weight must be strictly positive real")
+    # NaN fails ``wr > 0``; +inf fails the finiteness test
+    if (not np.all(wr > 0) or not np.all(np.isfinite(wr))
+            or (np.iscomplexobj(wv) and np.any(np.imag(wv) != 0))):
+        raise InvalidWeightError("quadrature weight must be strictly positive, finite and real")
     h = v.grid.spacing
     return float(h * h * np.sum((v.values.real**2 + v.values.imag**2) * wr))
 

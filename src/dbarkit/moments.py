@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .errors import DynamicRangeError, InvalidArgumentError, TruncationMassWarning
-from .grid import FLOAT_FMT, Field, _ring_mask, _ring_max_ratio, integrate, warn_boundary_mass
+from .grid import FLOAT_FMT, Field, _ring_mask, _ring_max_ratio, warn_boundary_mass
 
 IM_EXPONENT_CAP = 30.0
 
@@ -81,11 +81,6 @@ def moments(f: Field, J: int) -> MomentVector:
     )
     del weight
     return MomentVector(J, _monomial_sums(z, a, J, g.spacing))
-
-
-def pairing(f: Field, g: Field) -> complex:
-    """Bilinear pairing integral f*g dA (no conjugation)."""
-    return integrate(f * g)
 
 
 def fourier2(f: Field, xi: complex, eta: complex) -> complex:

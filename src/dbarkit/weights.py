@@ -1,13 +1,13 @@
 """Closed-form weight models phi with analytic derivatives.
 
 Each catalog entry supplies phi, del(phi), dbar(phi) and the normalized
-Laplacian of phi as closed forms; discrete differentiation is used only as a
-consistency check.  The curvature margin
+Laplacian of phi as closed forms, and each entry that can pass validation
+its curvature margin
 
     margin(z) = laplacian_hat(log laplacian_hat(phi)) / laplacian_hat(phi) + 2
 
-is the uniqueness condition quantity; it is invariant under rescaling the
-Laplacian, so the normalized convention is used throughout.
+the uniqueness condition quantity, in closed form too; it is invariant under
+rescaling the Laplacian, so the normalized convention is used throughout.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import diffops
 from .errors import (DynamicRangeError, InvalidArgumentError, SamplingError,
                      WeightInvariantViolationError)
 from .grid import Field, Grid, sample
@@ -99,7 +98,9 @@ class CurvatureReport:
     margin_field: Field
     min_margin: float
     passes: bool
-    analytic_path: bool
+    # always true: kept since the benchmark's recorded reports hold the key,
+    # until the benchmark-upkeep change records them again (ROADMAP item 7)
+    analytic_path: bool = True
 
 
 def fock_weight(t: float = 1.0) -> Weight:
@@ -186,28 +187,12 @@ def custom_weight(spec: dict) -> Weight:
     )
 
 
-def curvature_margin(w: Weight, grid: Grid, tolerance: float = 1e-9,
-                     lap_scale: float = 1.0) -> CurvatureReport:
-    """Evaluate the curvature-type uniqueness margin on the grid.
-
-    Uses the analytic margin when the catalog provides one, otherwise a
-    4th-order discrete Laplacian of log(lap_scale * laplacian_hat(phi)); the
-    scale drops out as an additive constant under the Laplacian, making the
-    margin normalization-invariant.
-    """
+def curvature_margin(w: Weight, grid: Grid, tolerance: float = 1e-9) -> CurvatureReport:
+    """The weight's closed-form curvature margin on the grid; InvalidArgumentError if none."""
     w.validate_on(grid)
-    if w.margin_fn is not None and lap_scale == 1.0:
-        vals = np.asarray(w.margin_fn(grid.nodes), dtype=float) * np.ones((grid.n, grid.n))
-        mf = Field(grid, vals.astype(complex))
-        mn = float(np.min(vals))
-        return CurvatureReport(mf, mn, mn >= -tolerance, True)
-    lap = w.sample_lap_hat(grid)
-    loglap = Field(grid, np.log(lap_scale * lap).astype(complex))
-    # log(lap) need not vanish at the boundary, so the periodic spectral
-    # scheme is not legitimate here; fd4 with its zeroed band is.
-    num = diffops.laplacian_hat(loglap, scheme="fd4")
-    mask = diffops.interior_mask(grid, num.zero_band)
-    margin = np.zeros((grid.n, grid.n))
-    margin[mask] = np.real(num.values[mask]) / lap[mask] + 2.0
-    mn = float(np.min(margin[mask]))
-    return CurvatureReport(Field(grid, margin.astype(complex)), mn, mn >= -tolerance, False)
+    if w.margin_fn is None:
+        raise InvalidArgumentError(f"weight {w.name!r} has no closed-form curvature margin")
+    vals = np.asarray(w.margin_fn(grid.nodes), dtype=float) * np.ones((grid.n, grid.n))
+    mf = Field(grid, vals.astype(complex))
+    mn = float(np.min(vals))
+    return CurvatureReport(mf, mn, mn >= -tolerance)

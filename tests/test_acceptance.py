@@ -66,7 +66,7 @@ def test_01_norm_identity_four_weights(grid, suite):
     worst = 0.0
     for w in weights:
         for m in suite:
-            rep = verify_norm_identity(m.sample(grid), w, "spectral")
+            rep = verify_norm_identity(m.sample(grid), w)
             worst = max(worst, rep.rel_err)
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-6 and elapsed < 60.0
@@ -115,7 +115,7 @@ def test_05_cauchy_solver_convergence(suite):
         f = m.sample_dbar(g)
         u = cauchy_transform(f)
         errs.append(interior_max(u - m.sample(g), extra_band=2))
-        ress.append(interior_max(dbar(u, "spectral") - f, extra_band=2))
+        ress.append(interior_max(dbar(u) - f, extra_band=2))
     p_err = np.log2(errs[0] / errs[1])
     p_res = np.log2(ress[0] / ress[1])
     ok = p_err >= 1.0 and p_res >= 1.0

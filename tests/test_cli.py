@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbarkit.cli import DEFAULT_CONFIG, build_parser, emit_report, load_config, main, run
-from dbarkit.diffops import SCHEMES
 from dbarkit.errors import ConfigError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_default_config_values():
@@ -72,6 +73,7 @@ def test_unknown_config_key_named_in_error(tmp_path):
         "[1, 2]",                             # not an object
         "{not json",                          # parse error
         json.dumps({"scheme": "fd2"}),        # unknown scheme
+        json.dumps({"scheme": "fd4"}),        # the tests' oracle, not a scheme of the CLI
         json.dumps({"output": {"format": "xml"}}),
         json.dumps({"grid": {"n": 4}}),
         json.dumps({"tolerances": {"identity_rel": 0.0}}),
@@ -211,7 +213,6 @@ def _random_argv():
         st.sampled_from([8, 16, 32]),
         st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0 ** e),
         weight,
-        st.sampled_from(SCHEMES),
     )
 
 
@@ -220,11 +221,11 @@ def _random_argv():
 def test_random_configurations_exit_cleanly(drawn):
     """Exit 0 or 1 with a strict-JSON report whose verdict matches, or 2 with
     a config error line; never an exception."""
-    sub, n, radius, weight, scheme = drawn
+    sub, n, radius, weight = drawn
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "r"
         argv = [sub, "--grid-n", str(n), "--grid-radius", repr(radius),
-                "--weight", json.dumps(weight), "--scheme", scheme, "--out", str(out)]
+                "--weight", json.dumps(weight), "--out", str(out)]
         err = io.StringIO()
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
             rc = main(argv)
@@ -235,6 +236,29 @@ def test_random_configurations_exit_cleanly(drawn):
             assert rc in (0, 1)
             rep = _strict_json(out / f"{sub}.json")
             assert rep["overall"] is (rc == 0)
+
+
+def test_scheme_other_than_spectral_exits_2(tmp_path, capsys):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"scheme": "fd4"}))
+    assert main(["verify-identity", "--config", str(p), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    with pytest.raises(SystemExit, match="2"):  # the flag is gone
+        main(["verify-identity", "--scheme", "fd4"])
+
+
+def test_config_keys_match_the_benchmark_reference():
+    """A config key added or dropped must go with a newly recorded benchmark reference."""
+    ref = json.loads((ROOT / "perfbench/reference/all-default.json").read_text())
+    recorded = {p for p in ref["paths"] if p.startswith("all.json:config.")}
+
+    def leaves(d, prefix):
+        return {q for k, v in d.items() for q in (
+            leaves(v, f"{prefix}.{k}") if isinstance(v, dict) else [f"{prefix}.{k}"])}
+
+    # the benchmark does not compare output.dir, the directory each pass writes to
+    assert leaves(load_config(), "all.json:config") - {"all.json:config.output.dir"} == recorded
 
 
 def test_missing_config_file_rejected():
@@ -344,7 +368,7 @@ def test_cli_import_loads_no_process_pool():
     """The CSV writer forks with bare ``os.fork``; a pool module would add set-up time."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     code = ("import sys, dbarkit.cli; "
             "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")

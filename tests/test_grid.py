@@ -6,23 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dbarkit import build_grid, grid, integrate, sample, weighted_norm_sq
+from dbarkit import build_grid, grid, sample, weighted_norm_sq
 from dbarkit.bumps import BumpPoly, Poly2, random_suite
 from dbarkit.diffops import dbar
 from dbarkit.errors import InvalidArgumentError, InvalidWeightError, SamplingError
 from dbarkit.grid import CSV_CHUNK_ROWS, FLOAT_FMT, Field, field_to_csv, write_field_csv
+from oracles import integrate
 
 
 def test_build_grid_rejects_small_n():
-    with pytest.raises(InvalidArgumentError):
-        build_grid(1.0, 2)
+    for n in (2, 8.9):  # a non-integral n is not truncated
+        with pytest.raises(InvalidArgumentError):
+            build_grid(1.0, n)
 
 
 def test_build_grid_rejects_nonpositive_radius():
-    with pytest.raises(InvalidArgumentError):
-        build_grid(0.0, 64)
-    with pytest.raises(InvalidArgumentError):
-        build_grid(-2.0, 64)
+    for radius in (0.0, -2.0, float("inf"), float("nan")):
+        with pytest.raises(InvalidArgumentError):
+            build_grid(radius, 64)
 
 
 def test_spacing_example():
@@ -123,7 +124,7 @@ def test_integrate_dbar_of_bump_vanishes():
     assert vals[1] < vals[0]  # aliasing tail shrinks with h
     # the discrete derivative integrates to zero by construction of the rules
     g = build_grid(6.0, 256)
-    assert abs(integrate(dbar(m.sample(g), "spectral"))) < 1e-12
+    assert abs(integrate(dbar(m.sample(g)))) < 1e-12
 
 
 def test_weighted_norm_sq_examples():
@@ -140,10 +141,12 @@ def test_weighted_norm_sq_examples():
 def test_weighted_norm_sq_rejects_nonpositive_weight():
     g = build_grid(1.0, 8)
     v = sample(lambda z: z, g)
-    w = np.ones((8, 8))
-    w[0, 0] = 0.0
-    with pytest.raises(InvalidWeightError):
-        weighted_norm_sq(v, w)
+    # zero, and NaN and +inf, which a ``<= 0`` test lets through
+    for bad in (0.0, float("nan"), float("inf")):
+        w = np.ones((8, 8))
+        w[0, 0] = bad
+        with pytest.raises(InvalidWeightError):
+            weighted_norm_sq(v, w)
 
 
 def test_field_shape_mismatch_rejected():

@@ -3,21 +3,15 @@ import warnings
 import numpy as np
 import pytest
 
-from dbarkit import (
-    build_grid,
-    custom_weight,
-    fock_weight,
-    integrate,
-    sample,
-    verify_norm_identity,
-)
+from dbarkit import build_grid, custom_weight, fock_weight, sample, verify_norm_identity
 from dbarkit.bumps import random_suite
 from dbarkit.diffops import dbar
 from dbarkit.errors import BoundaryMassWarning, DynamicRangeError
-from dbarkit.identity import (
+from oracles import (
     apply_T,
     apply_Tstar,
     from_dual_picture,
+    integrate,
     kernel_check,
     to_dual_picture,
 )

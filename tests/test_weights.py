@@ -1,12 +1,14 @@
+import contextlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dbarkit import build_grid, curvature_margin, custom_weight, fock_weight, sample
-from dbarkit.diffops import interior_mask, laplacian_hat
+from dbarkit.diffops import interior_mask
 from dbarkit.errors import DynamicRangeError, InvalidArgumentError, WeightInvariantViolationError
-from dbarkit.weights import EXP_CAP
+from dbarkit.weights import CATALOG_PARAMS, EXP_CAP
+from oracles import FD4_BAND, fd4_curvature_margin, fd4_laplacian_hat
 
 CATALOG = [
     {"name": "fock", "t": 1.0},
@@ -68,8 +70,8 @@ def test_discrete_laplacian_matches_analytic(spec):
     errs = []
     for n in [64, 128]:
         g = build_grid(6.0, n)
-        num = laplacian_hat(w.sample_phi(g), "fd4")
-        mask = interior_mask(g, 2)
+        num = fd4_laplacian_hat(w.sample_phi(g))
+        mask = interior_mask(g, FD4_BAND)
         exact = w.sample_lap_hat(g)
         errs.append(np.max(np.abs(num.values[mask].real - exact[mask])))
     if spec["name"] == "cosh-x":
@@ -96,21 +98,31 @@ def test_cosh_margin_formula_and_discrete_crosscheck():
     expected = 1.0 / np.cosh(x) ** 3 + 2.0
     assert np.allclose(rep.margin_field.values.real, expected)
     assert rep.min_margin >= 2.0
-    # discrete path (no analytic margin) agrees to stencil accuracy
-    disc = curvature_margin(replace(w, margin_fn=None), g)
-    mask = interior_mask(g, 2)
-    assert np.max(np.abs(disc.margin_field.values.real[mask] - expected[mask])) < 1e-4
+    # the fd4 oracle's discrete margin agrees to stencil accuracy
+    disc = fd4_curvature_margin(w, g)
+    mask = interior_mask(g, FD4_BAND)
+    assert np.max(np.abs(disc[mask] - expected[mask])) < 1e-4
 
 
 def test_normalization_invariance_of_margin():
     g = build_grid(6.0, 128)
     w = custom_weight({"name": "cosh-x"})
-    w2 = replace(w, margin_fn=None)
-    m1 = curvature_margin(w2, g, lap_scale=1.0)
-    m4 = curvature_margin(w2, g, lap_scale=4.0)
-    mask = interior_mask(g, 2)
-    d = np.max(np.abs(m1.margin_field.values[mask] - m4.margin_field.values[mask]))
+    m1 = fd4_curvature_margin(w, g, lap_scale=1.0)
+    m4 = fd4_curvature_margin(w, g, lap_scale=4.0)
+    mask = interior_mask(g, FD4_BAND)
+    d = np.max(np.abs(m1[mask] - m4[mask]))
     assert d < 1e-9
+
+
+def test_margin_without_closed_form_rejected():
+    g = build_grid(6.0, 64)
+    with pytest.raises(InvalidArgumentError, match="cosh-x"):
+        curvature_margin(replace(custom_weight({"name": "cosh-x"}), margin_fn=None), g)
+    # no catalog weight reaches that error: each one that validates has a margin
+    for w in (custom_weight({"name": name}) for name in CATALOG_PARAMS):
+        with contextlib.suppress(WeightInvariantViolationError):
+            w.validate_on(g)
+            assert w.margin_fn is not None, w.name
 
 
 def test_quartic_weight_rejected():
