@@ -2,7 +2,7 @@
 plane with growing weights."""
 
 from .grid import Field, Grid, build_grid, field_to_csv, sample, weighted_norm_sq
-from .diffops import dbar, delz, laplacian_hat
+from .diffops import dbar, laplacian_hat
 from .weights import CurvatureReport, Weight, curvature_margin, custom_weight, fock_weight
 from .identity import IdentityReport, verify_norm_identity
 from .solver import (

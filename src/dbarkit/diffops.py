@@ -3,9 +3,9 @@
 The operators are dbar = (d/dx + i d/dy)/2, del = (d/dx - i d/dy)/2 and the
 normalized Laplacian (d2/dx2 + d2/dy2)/4, all spectral: FFT differentiation
 treating the field as periodic on the square, legitimate only for fields
-that vanish near the boundary.  ``delz`` is implemented as conj o dbar o
-conj, which makes the conjugation identity delz(conj(v)) == conj(dbar(v))
-hold bit-for-bit.
+that vanish near the boundary.  ``dbar_and_del`` gives del with the symbol
+of conj o dbar o conj, so the conjugation identity del(conj(v)) ==
+conj(dbar(v)) holds bit for bit.
 
 Spectral operators transform through ``_fft2``, which gives numpy's
 ``fft2``/``ifft2`` to the bit from 1-D transforms over blocks of whole rows
@@ -84,14 +84,9 @@ def dbar(v: Field, scheme: str = "spectral") -> Field:
     return _spectral(v, lambda r: _dbar_symbol(k, r))[0]
 
 
-def delz(v: Field) -> Field:
-    """Discrete del = (d_x - i d_y)/2, via conj o dbar o conj."""
-    return dbar(v.conj()).conj()
-
-
 def dbar_and_del(v: Field) -> tuple[Field, Field]:
     """(dbar v, del v) from one forward FFT; del's symbol conj(dbar symbol[-k])
-    is that of ``delz`` = conj o dbar o conj, Nyquist lines included."""
+    is that of conj o dbar o conj, Nyquist lines included."""
     k = _wavenumbers(v.grid)
     kneg = k[-np.arange(v.grid.n)]  # k[-j mod n]
     return _spectral(v, lambda r: _dbar_symbol(k, r),

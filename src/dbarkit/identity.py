@@ -11,9 +11,11 @@ With T = dbar - M_{dbar phi} and T* = -del - M_{del phi} the left side is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import diffops
+from .errors import DynamicRangeError
 from .grid import Field, warn_boundary_mass, weighted_norm_sq
 from .weights import Weight
 
@@ -47,5 +49,8 @@ def verify_norm_identity(v: Field, w: Weight, rel_tol: float = 1e-6) -> Identity
                - weighted_norm_sq(delv + w.sample_dphi(v.grid) * v, 1.0))
         rhs = 2.0 * weighted_norm_sq(v, w.sample_lap_hat(v.grid))
     abs_err = abs(lhs - rhs)
+    if not math.isfinite(abs_err):  # a NaN error would compare as no error at all
+        raise DynamicRangeError(f"weight {w.name!r}: the norm identity's sides leave the "
+                                f"float range (lhs={lhs:.6g}, rhs={rhs:.6g})")
     rel_err = abs_err / max(abs(rhs), REL_ERR_FLOOR)
     return IdentityReport(lhs, rhs, abs_err, rel_err, rel_err < rel_tol, trivial)

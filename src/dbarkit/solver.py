@@ -111,7 +111,7 @@ def cauchy_transform(f: Field) -> Field:
     keep = slice(n - 1, 2 * n - 1)
     conv = diffops._fft2(lambda r: np.multiply(K[r], F[r], out=K[r]), shape, inverse=True,
                          columns=keep, out=K)
-    return Field(f.grid, conv[keep, keep])
+    return Field(f.grid, conv[keep, keep])  # a strided view: Field copies it, freeing the pad
 
 
 def dbar_invert_spectral(f: Field) -> Field:

@@ -1,17 +1,20 @@
 """Closed-form weight models phi with analytic derivatives.
 
-Each catalog entry supplies phi, del(phi), dbar(phi) and the normalized
-Laplacian of phi as closed forms, and each entry that can pass validation
-its curvature margin
+Each catalog entry supplies phi, del(phi) (dbar(phi) is its conjugate, phi
+being real) and the normalized Laplacian of phi as closed forms, and each
+entry that can pass validation its curvature margin
 
     margin(z) = laplacian_hat(log laplacian_hat(phi)) / laplacian_hat(phi) + 2
 
 the uniqueness condition quantity, in closed form too; it is invariant under
 rescaling the Laplacian, so the normalized convention is used throughout.
+``Weight._sample`` evaluates every weight field on a grid.
 """
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -35,7 +38,6 @@ class Weight:
     params: dict
     phi: Callable
     dphi: Callable          # del(phi)
-    dbarphi: Callable       # dbar(phi) == conj(del(phi)) for real phi
     lap_hat_phi: Callable
     margin_fn: Optional[Callable] = None  # analytic curvature margin, if known
     # closed-form knowledge: where (if anywhere) lap_hat_phi fails to be
@@ -56,10 +58,10 @@ class Weight:
         return self._sample(self.dphi, "del(phi)", grid)
 
     def sample_dbarphi(self, grid: Grid) -> Field:
-        return self._sample(self.dbarphi, "dbar(phi)", grid)
+        return self._sample(lambda z: np.conj(self.dphi(z)), "dbar(phi)", grid)
 
     def sample_lap_hat(self, grid: Grid) -> np.ndarray:
-        return np.real(np.asarray(self.lap_hat_phi(grid.nodes), dtype=complex)) * np.ones((grid.n, grid.n))
+        return self._sample(self.lap_hat_phi, "laplacian_hat(phi)", grid).values.real
 
     def exp_phi(self, z: np.ndarray, factor: float = 1.0) -> np.ndarray:
         """e^{factor * phi} at the nodes ``z`` (``grid.nodes`` or a masked subset).
@@ -67,14 +69,12 @@ class Weight:
         Raises DynamicRangeError when factor * phi exceeds EXP_CAP at some
         node; its ``node_index`` is the flat index into ``z``.
         """
-        expo = factor * np.real(np.asarray(self.phi(z))) * np.ones(np.shape(z))
+        expo = factor * np.real(self.phi(z))
         if np.any(expo > EXP_CAP):
-            bad = int(np.argmax(expo.reshape(-1)))
+            bad = int(np.argmax(expo))  # a flat index
             raise DynamicRangeError(
                 f"weight {self.name!r}: {factor:g} phi reaches {expo.flat[bad]:.6g}, "
-                f"past EXP_CAP = {EXP_CAP:g}",
-                node_index=bad,
-            )
+                f"past EXP_CAP = {EXP_CAP:g}", node_index=bad)
         return np.exp(expo)
 
     def is_trivial(self) -> bool:
@@ -82,15 +82,12 @@ class Weight:
 
     def validate_on(self, grid: Grid) -> None:
         if self.positivity_defect is not None:
-            raise WeightInvariantViolationError(
-                f"weight {self.name!r}: {self.positivity_defect}"
-            )
-        lap = self.sample_lap_hat(grid)
-        if np.min(lap) <= 0.0:
+            raise WeightInvariantViolationError(f"weight {self.name!r}: {self.positivity_defect}")
+        low = np.min(self.sample_lap_hat(grid))
+        if low <= 0.0:
             raise WeightInvariantViolationError(
                 f"weight {self.name!r}: laplacian_hat(phi) must be positive everywhere, "
-                f"min over grid is {np.min(lap):.3e}"
-            )
+                f"min over grid is {low:.3e}")
 
 
 @dataclass(frozen=True)
@@ -112,17 +109,17 @@ def fock_weight(t: float = 1.0) -> Weight:
         params={"t": float(t)},
         phi=lambda z: 0.5 * t * (np.abs(z) ** 2),
         dphi=lambda z: 0.5 * t * np.conj(z),
-        dbarphi=lambda z: 0.5 * t * z,
         lap_hat_phi=lambda z: 0.5 * t * np.ones(np.shape(z)),
         margin_fn=lambda z: 2.0 * np.ones(np.shape(z)),
     )
 
 
 def _finite_param(spec: dict, key: str, default: float) -> float:
-    v = float(spec.get(key, default))
-    if not np.isfinite(v):
-        raise InvalidArgumentError(f"weight parameter {key} must be finite, got {v}")
-    return v
+    v = spec.get(key, default)
+    # as for every config key: no bool or str; NaN, inf and huge ints fail the comparison
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not abs(v) <= sys.float_info.max:
+        raise InvalidArgumentError(f"weight parameter {key} must be a finite number, got {v!r}")
+    return float(v)
 
 
 def custom_weight(spec: dict) -> Weight:
@@ -153,7 +150,6 @@ def custom_weight(spec: dict) -> Weight:
             params=p,
             phi=lambda z: 0.5 * t * np.abs(z) ** 2 + b * np.real(z**2),
             dphi=lambda z: 0.5 * t * np.conj(z) + b * z,
-            dbarphi=lambda z: 0.5 * t * z + b * np.conj(z),
         )
     if name == "cosh-x":
         # phi = cosh x; lap_hat = cosh(x)/4; margin = sech^3 x + 2
@@ -162,7 +158,6 @@ def custom_weight(spec: dict) -> Weight:
             params={},
             phi=lambda z: np.cosh(np.real(z)),
             dphi=lambda z: 0.5 * np.sinh(np.real(z)) + 0j * z,
-            dbarphi=lambda z: 0.5 * np.sinh(np.real(z)) + 0j * z,
             lap_hat_phi=lambda z: 0.25 * np.cosh(np.real(z)),
             margin_fn=lambda z: 1.0 / np.cosh(np.real(z)) ** 3 + 2.0,
         )
@@ -172,7 +167,6 @@ def custom_weight(spec: dict) -> Weight:
             params={},
             phi=lambda z: np.abs(z) ** 4,
             dphi=lambda z: 2.0 * z * np.conj(z) ** 2,
-            dbarphi=lambda z: 2.0 * np.conj(z) * z**2,
             lap_hat_phi=lambda z: 4.0 * np.abs(z) ** 2,
             positivity_defect="laplacian_hat(phi) = 4|z|^2 vanishes at z = 0",
         )
@@ -182,7 +176,6 @@ def custom_weight(spec: dict) -> Weight:
         params={},
         phi=lambda z: np.zeros(np.shape(z)),
         dphi=lambda z: np.zeros(np.shape(z), dtype=complex),
-        dbarphi=lambda z: np.zeros(np.shape(z), dtype=complex),
         lap_hat_phi=lambda z: np.zeros(np.shape(z)),
     )
 
@@ -192,7 +185,6 @@ def curvature_margin(w: Weight, grid: Grid, tolerance: float = 1e-9) -> Curvatur
     w.validate_on(grid)
     if w.margin_fn is None:
         raise InvalidArgumentError(f"weight {w.name!r} has no closed-form curvature margin")
-    vals = np.asarray(w.margin_fn(grid.nodes), dtype=float) * np.ones((grid.n, grid.n))
-    mf = Field(grid, vals.astype(complex))
-    mn = float(np.min(vals))
+    mf = w._sample(w.margin_fn, "curvature margin", grid)
+    mn = float(np.min(mf.values.real))
     return CurvatureReport(mf, mn, mn >= -tolerance)

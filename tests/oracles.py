@@ -2,6 +2,8 @@
 
 * fd4: 4th-order centered finite differences.  With no one-sided stencils,
   the outer ``FD4_BAND`` rings of a result are zeroed.
+* Spectral ``delz`` = conj o dbar o conj, the del operator on its own (the
+  package forms del only beside dbar, in ``diffops.dbar_and_del``).
 * Midpoint-rule ``integrate`` and ``pairing``.
 * T = dbar - M_{dbar phi}, T* = -del - M_{del phi} and the dual picture
   v = e^{phi} u.  T = M_{e^phi} dbar M_{e^{-phi}}, so k lies in ker T*
@@ -42,8 +44,13 @@ def fd4_dbar(v: Field) -> Field:
     return _fd4_field(v, 0.5, 0.5j, 1)
 
 
+def delz(v: Field) -> Field:
+    """Spectral del = (d_x - i d_y)/2, via conj o dbar o conj."""
+    return diffops.dbar(v.conj()).conj()
+
+
 def fd4_delz(v: Field) -> Field:
-    """del via conj o fd4_dbar o conj, as in ``diffops.delz``."""
+    """del via conj o fd4_dbar o conj, as ``delz``."""
     return fd4_dbar(v.conj()).conj()
 
 
@@ -54,7 +61,7 @@ def fd4_laplacian_hat(v: Field) -> Field:
 # a set of discrete operators, and the boundary rings their results zero
 Scheme = namedtuple("Scheme", "dbar delz laplacian_hat band")
 SCHEMES = {
-    "spectral": Scheme(diffops.dbar, diffops.delz, diffops.laplacian_hat, 0),
+    "spectral": Scheme(diffops.dbar, delz, diffops.laplacian_hat, 0),
     "fd4": Scheme(fd4_dbar, fd4_delz, fd4_laplacian_hat, FD4_BAND),
 }
 
@@ -75,7 +82,7 @@ def apply_T(v: Field, w) -> Field:
 
 
 def apply_Tstar(v: Field, w) -> Field:
-    return -diffops.delz(v) - w.sample_dphi(v.grid) * v
+    return -delz(v) - w.sample_dphi(v.grid) * v
 
 
 def to_dual_picture(u: Field, w) -> Field:

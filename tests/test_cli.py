@@ -103,11 +103,21 @@ def test_invalid_configs_rejected(tmp_path, body):
         load_config(str(p))
 
 
+# an integer weight parameter past the float range
+HUGE_INT = "1" + "0" * 400
+
 # what the config error line must name, for rows whose cause the flags do
 # not spell out
 CONFIG_ERROR_NAMES = {
     'verify-identity --weight {"name": "fock", "t": 1e308}': "weight 'fock', dbar(phi)",
     "verify-identity --grid-radius 800 --weight cosh-x": "weight 'cosh-x', dbar(phi)",
+    "curvature --grid-radius 800 --weight cosh-x": "weight 'cosh-x', laplacian_hat(phi)",
+    'verify-identity --weight {"name": "fock", "t": 1e300}':
+        "weight 'fock': the norm identity's sides leave the float range (lhs=nan",
+    'curvature --weight {"name": "fock", "t": "2"}': "weight parameter t must be a finite number",
+    'curvature --weight {"name": "fock", "t": true}': "weight parameter t must be a finite number",
+    'curvature --weight {"name": "fock", "t": %s}' % HUGE_INT:
+        "weight parameter t must be a finite number",
     'curvature --weight {"name": "zero", "t": NaN}': "weight 'zero' takes no parameter 't'",
     'curvature --weight {"name": "fock", "t": 1, "bogus": 3}':
         "weight 'fock' takes no parameter 'bogus'",
@@ -135,6 +145,14 @@ CONFIG_ERROR_NAMES = {
         # a parameter key the catalog entry does not declare
         ["curvature", "--weight", '{"name": "zero", "t": NaN}'],
         ["curvature", "--weight", '{"name": "fock", "t": 1, "bogus": 3}'],
+        # a Laplacian that is inf at the corners, caught where it is sampled
+        ["curvature", "--grid-radius", "800", "--weight", "cosh-x"],
+        # the identity's sides overflow, and a NaN error would read as a pass
+        ["verify-identity", "--weight", '{"name": "fock", "t": 1e300}'],
+        # weight parameters that are no finite real number
+        ["curvature", "--weight", '{"name": "fock", "t": "2"}'],
+        ["curvature", "--weight", '{"name": "fock", "t": true}'],
+        ["curvature", "--weight", '{"name": "fock", "t": %s}' % HUGE_INT],
     ],
 )
 def test_cli_config_errors_exit_2(tmp_path, capsys, flags):

@@ -155,6 +155,32 @@ def test_field_shape_mismatch_rejected():
         Field(g, np.zeros((4, 4), dtype=complex))
 
 
+def test_field_shares_the_complex_array_it_is_given():
+    g = build_grid(1.0, 8)
+    a = np.arange(64, dtype=complex).reshape(8, 8)
+    v = Field(g, a)
+    assert np.shares_memory(v.values, a)
+    assert not v.values.flags.writeable
+    assert a.flags.writeable
+    with pytest.raises(ValueError):
+        v.values[0, 0] = 1.0
+
+
+def test_sample_keeps_the_closed_forms_array():
+    g = build_grid(1.0, 8)
+    a = np.ones((8, 8), dtype=complex)
+    assert np.shares_memory(sample(lambda z: a, g).values, a)
+    # a scalar closed form is spread into an array of its own
+    v = sample(lambda z: 2.0 + 0j, g)
+    assert v.values.flags.c_contiguous and np.all(v.values == 2.0)
+
+
+def test_csv_of_a_strided_field():
+    g = build_grid(1.0, 8)
+    a = sample(lambda z: z**2 + 1j / 3, g).values
+    assert field_to_csv(Field(g, a.T)) == field_to_csv(Field(g, a.T.copy()))
+
+
 def test_csv_dump_format_and_determinism():
     g = build_grid(1.0, 8)
     v = sample(lambda z: z**2 + 1j / 3, g)
@@ -193,14 +219,14 @@ def _csv_rows_reference(v):
     """Row-by-row formatting over the full node array."""
     fmt = ",".join([FLOAT_FMT] * 4) + "\n"
     lines = ["re,im,val_re,val_im\n"]
-    for zz, vv in zip(v.grid.nodes.reshape(-1), v.flat):
+    for zz, vv in zip(v.grid.nodes.reshape(-1), v.values.reshape(-1)):
         lines.append(fmt % (zz.real, zz.imag, vv.real, vv.imag))
     return "".join(lines)
 
 
 def test_write_field_csv_streams_the_same_bytes(tmp_path):
     g = build_grid(3.0, 96)
-    assert g.node_count > CSV_CHUNK_ROWS  # two row blocks where two CPUs are usable
+    assert g.n * g.n > CSV_CHUNK_ROWS  # two row blocks where two CPUs are usable
     v = sample(lambda z: z**2 * np.exp(-np.abs(z) ** 2) + 1j / 3, g)
     path = tmp_path / "v.csv"
     with path.open("w") as fh:

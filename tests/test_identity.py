@@ -125,6 +125,15 @@ def test_T_factors_through_dual_picture(fock):
     assert diffs[1] < 1e-5
 
 
+def test_non_finite_identity_sides_raise(one_member):
+    # fock(1e300): (dbar phi) v overflows, so the left side is inf - inf = nan,
+    # which would compare below any tolerance as a relative error
+    u = one_member.sample(build_grid(6.0, 64))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DynamicRangeError, match="norm identity"):
+            verify_norm_identity(u, fock_weight(1e300))
+
+
 def test_dual_picture_overflow_guard(one_member):
     g = build_grid(6.0, 64)
     u = one_member.sample(g)

@@ -22,7 +22,7 @@ def test_fock_examples():
     w = fock_weight(1.0)
     z = np.array([2.0 + 0j, 1j, -3.0 + 1j])
     assert np.allclose(w.lap_hat_phi(z), 0.5)
-    assert w.dbarphi(np.array([2.0 + 0j]))[0] == 1.0
+    assert np.conj(w.dphi(np.array([2.0 + 0j])))[0] == 1.0
     w2 = fock_weight(2.0)
     zz = np.array([1.5 - 0.5j])
     assert np.exp(2 * w2.phi(zz))[0] == pytest.approx(np.exp(2 * np.abs(zz[0]) ** 2))
@@ -153,8 +153,23 @@ def test_exp_phi_raises_past_cap():
     assert w.exp_phi(z, -EXP_CAP)[1] == 0.0
 
 
+@pytest.mark.parametrize("name", sorted(CATALOG_PARAMS))
+def test_closed_forms_return_the_shape_of_z(name):
+    # the weight's fields are sampled with no broadcast of their own
+    w = custom_weight({"name": name})
+    z = np.linspace(-2.0, 2.0, 12).reshape(3, 4) + 0.5j
+    for fn in (w.phi, w.dphi, w.lap_hat_phi, w.margin_fn):
+        if fn is not None:
+            assert np.shape(fn(z)) == (3, 4)
+
+
 def test_nonfinite_weight_parameters_rejected():
     with pytest.raises(InvalidArgumentError):
         custom_weight({"name": "fock", "t": float("inf")})
     with pytest.raises(InvalidArgumentError):
         custom_weight({"name": "fock-harmonic", "b": float("nan")})
+    # no real number either: rejected as for every other config key
+    for bad in ("2", True, None, 10**400):
+        with pytest.raises(InvalidArgumentError, match="finite number"):
+            custom_weight({"name": "fock", "t": bad})
+    assert custom_weight({"name": "fock", "t": 2}).params == {"t": 2.0}
