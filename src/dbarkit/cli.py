@@ -297,9 +297,8 @@ def pipe_curvature(cfg):
 def pipe_uniqueness(cfg):
     grid = _grid(cfg)
     w = fock_weight(1.0)
-    u0 = Field(grid, np.zeros((grid.n, grid.n), dtype=complex))
     t0 = time.perf_counter()
-    probes = solver.uniqueness_probe(u0, w, range(4), radii=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    probes = solver.uniqueness_probe(grid, w, range(4), radii=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     dt = (time.perf_counter() - t0) / len(probes)  # the shared call, split evenly
     checks = []
     tables = {}

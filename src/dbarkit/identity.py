@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import diffops
 from .errors import DynamicRangeError
 from .grid import Field, warn_boundary_mass, weighted_norm_sq
@@ -42,12 +44,14 @@ def verify_norm_identity(v: Field, w: Weight, rel_tol: float = 1e-6) -> Identity
     warn_boundary_mass(v, context="norm-identity test field")
     dv, delv = diffops.dbar_and_del(v)
     trivial = w.is_trivial()
-    if trivial:
-        lhs, rhs = weighted_norm_sq(dv, 1.0), weighted_norm_sq(delv, 1.0)
-    else:  # ||T v||^2 - ||T* v||^2
-        lhs = (weighted_norm_sq(dv - w.sample_dbarphi(v.grid) * v, 1.0)
-               - weighted_norm_sq(delv + w.sample_dphi(v.grid) * v, 1.0))
-        rhs = 2.0 * weighted_norm_sq(v, w.sample_lap_hat(v.grid))
+    # an overflow here leaves abs_err non-finite, which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if trivial:
+            lhs, rhs = weighted_norm_sq(dv, 1.0), weighted_norm_sq(delv, 1.0)
+        else:  # ||T v||^2 - ||T* v||^2
+            lhs = (weighted_norm_sq(dv - w.sample_dbarphi(v.grid) * v, 1.0)
+                   - weighted_norm_sq(delv + w.sample_dphi(v.grid) * v, 1.0))
+            rhs = 2.0 * weighted_norm_sq(v, w.sample_lap_hat(v.grid))
     abs_err = abs(lhs - rhs)
     if not math.isfinite(abs_err):  # a NaN error would compare as no error at all
         raise DynamicRangeError(f"weight {w.name!r}: the norm identity's sides leave the "

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import factorial, pi, sqrt
+from math import ceil, factorial, inf, pi, sqrt
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -21,6 +21,9 @@ from .errors import DynamicRangeError, InvalidArgumentError, TruncationMassWarni
 from .grid import FLOAT_FMT, Field, _ring_mask, _ring_max_ratio, warn_boundary_mass
 
 IM_EXPONENT_CAP = 30.0
+# the largest x-node by xi-node count bargmann_probe admits (the fixed
+# 3000 x 480 rule it replaced)
+MAX_PROBE_NODES = 3000 * 480
 
 
 @dataclass(frozen=True)
@@ -146,6 +149,32 @@ class BargmannProbeReport:
     rel_err_quadratic: float
 
 
+def _midpoint(L: float, n: int) -> tuple[np.ndarray, float]:
+    """The n midpoint nodes of [-L, L] and their step."""
+    h = 2.0 * L / n
+    return -L + (np.arange(n) + 0.5) * h, h
+
+
+def _probe_rules(beta: float, a: float):
+    """bargmann_probe's x, s and t midpoint rules, each as (nodes, step)."""
+    # x range: slowest decay rate among a, 2a - 1/beta, a - 1/beta
+    rate = min(a, a - 1.0 / beta)
+    Lx = sqrt(45.0 / rate)
+    # xi plane: |fhat|^2 e^{-beta t^2} decays like e^{-s^2/(2a)} e^{-(beta-1/(2a)) t^2}
+    s_rate = 1.0 / (2.0 * a)
+    t_rate = beta - 1.0 / (2.0 * a)
+    Ls = sqrt(42.0 / s_rate)
+    Lt = sqrt(42.0 / t_rate)
+    nxi = ceil(84.0 / pi)  # 2 L / (pi / sqrt(42 rate)) on either axis
+    # the x step that keeps the aliasing term below e^-45 over the xi window
+    nx = ceil(2.0 * Lx * (Ls + sqrt(Lt**2 + 4.0 * a * 45.0)) / (2.0 * pi))
+    if nx * nxi > MAX_PROBE_NODES:
+        raise InvalidArgumentError(
+            f"bargmann_probe: a*beta - 1 = {a * beta - 1.0:.3g} needs a {nx} x {nxi} rule, "
+            f"more than the {MAX_PROBE_NODES} nodes allowed")
+    return _midpoint(Lx, nx), _midpoint(Ls, nxi), _midpoint(Lt, nxi)
+
+
 def bargmann_probe(beta: float, a: float, amplitude: float = 1.0,
                    match_tol: float = 1e-4) -> BargmannProbeReport:
     """Test the Gaussian-weighted Plancherel display on f(x) = A e^{-a x^2}.
@@ -156,25 +185,30 @@ def bargmann_probe(beta: float, a: float, amplitude: float = 1.0,
     |f| to the first power, and with |f|^2 -- each carrying the constant
     2 pi^{3/2} / sqrt(beta).  All three numbers are reported together with
     which reading (if any) matches the left side.
+
+    Every integrand is a Gaussian, for which the midpoint rule converges
+    geometrically, so the rule sizes follow from the decay rates with the
+    windows' exponent budgets (e^-45 in x, e^-42 in the xi plane):
+
+    * xi plane: |fhat(s+it)|^2 e^{-beta t^2} is proportional to
+      e^{-s_rate s^2 - t_rate t^2}; a step pi / sqrt(42 rate) per axis puts
+      ceil(84/pi) = 27 nodes on each of [-Ls, Ls] and [-Lt, Lt].
+    * x: fhat's integrand e^{-a x^2 + (t - i s) x} has the line transform
+      sqrt(pi/a) e^{(t - i(s + w))^2/(4a)}, so the rule's aliasing term at
+      w = 2 pi/hx stays below e^-45 times sqrt(pi/a) when
+      2 pi/hx >= Ls + sqrt(Lt^2 + 4 a 45).  The same step covers the right
+      sides, whose rates a - 1/beta and 2a - 1/beta need only
+      sqrt(4 * 45 * rate).  nx depends on a*beta alone:
+      nx = 90, 72 and 61 at a*beta = 1.5, 2 and 3.
+
+    nx grows like (a*beta - 1)^{-1/2} as a*beta approaches 1.  A rule whose
+    (x, xi) matrices would hold more than the 3000 x 480 entries of the
+    former fixed rule raises InvalidArgumentError naming a*beta - 1; that
+    happens from a*beta - 1 = 1e-6 down.
     """
-    if not (beta > 0 and a > 1.0 / beta):
-        raise InvalidArgumentError("need beta > 0 and a > 1/beta for convergence")
-    # x range: slowest decay rate among a, 2a - 1/beta, a - 1/beta
-    rate = min(a, a - 1.0 / beta)
-    Lx = sqrt(45.0 / rate)
-    nx = 3000
-    hx = 2.0 * Lx / nx
-    x = -Lx + (np.arange(nx) + 0.5) * hx
-    # xi plane: |fhat|^2 e^{-beta t^2} decays like e^{-s^2/(2a)} e^{-(beta-1/(2a)) t^2}
-    s_rate = 1.0 / (2.0 * a)
-    t_rate = beta - 1.0 / (2.0 * a)
-    Ls = sqrt(42.0 / s_rate)
-    Lt = sqrt(42.0 / t_rate)
-    nxi = 480
-    hs = 2.0 * Ls / nxi
-    ht = 2.0 * Lt / nxi
-    s = -Ls + (np.arange(nxi) + 0.5) * hs
-    t = -Lt + (np.arange(nxi) + 0.5) * ht
+    if not (0.0 < beta < inf and 1.0 / beta < a < inf):
+        raise InvalidArgumentError("need finite beta > 0 and a > 1/beta for convergence")
+    (x, hx), (s, hs), (t, ht) = _probe_rules(beta, a)
     if amplitude == 0.0:
         return BargmannProbeReport(beta, a, amplitude, 0.0, 0.0, 0.0, "both", 0.0, 0.0)
     # fhat(s + it) = integral e^{-i s x} e^{t x - a x^2} dx, exponent combined
@@ -190,9 +224,13 @@ def bargmann_probe(beta: float, a: float, amplitude: float = 1.0,
                       TruncationMassWarning, stacklevel=2)
     lhs = float(hs * ht * np.sum(np.abs(FH) ** 2 * np.exp(-beta * t[None, :] ** 2)))
     const = 2.0 * pi**1.5 / sqrt(beta)
-    fx = abs(amplitude) * np.exp(-a * x**2)
-    rhs_literal = float(const * hx * np.sum(fx * np.exp(x**2 / beta)))
-    rhs_quadratic = float(const * hx * np.sum(fx**2 * np.exp(x**2 / beta)))
+    # |f| e^{x^2/beta} and |f|^2 e^{x^2/beta} with their exponents combined:
+    # near a*beta = 1, e^{x^2/beta} alone overflows where e^{-a x^2} underflows
+    x2 = x**2
+    rhs_literal = float(const * hx * abs(amplitude)
+                        * np.sum(np.exp(-(a - 1.0 / beta) * x2)))
+    rhs_quadratic = float(const * hx * amplitude**2
+                          * np.sum(np.exp(-(2.0 * a - 1.0 / beta) * x2)))
     rel_lit = abs(lhs - rhs_literal) / abs(lhs)
     rel_quad = abs(lhs - rhs_quadratic) / abs(lhs)
     lit_ok = rel_lit < match_tol

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import diffops
 from .errors import DynamicRangeError, InvalidArgumentError
-from .grid import Field, _line_blocks, _map_blocks, weighted_norm_sq
+from .grid import Field, Grid, _line_blocks, _map_blocks, weighted_norm_sq
 from .moments import _monomial_sums, moments
 from .weights import EXP_CAP, Weight, curvature_margin
 
@@ -254,12 +254,13 @@ def check_hormander_bound(f: Field, w: Weight, slack: float = 0.01) -> BoundRepo
     return BoundReport(h1_lhs, h1_rhs, h1_lhs <= h1_rhs * (1.0 + slack), idem)
 
 
-def uniqueness_probe(u: Field, w: Weight, p, radii=None,
+def uniqueness_probe(g: Grid, w: Weight, p, radii=None,
                      amplitude: float = 1.0):
-    """Growth table for the perturbed solution u + amplitude * z^p.
+    """Growth table for amplitude * z^p, the difference of two solutions on ``g``.
 
-    Tabulates the partial weighted energies of the difference over growing
-    disks; under the curvature condition these must blow up, which is why no
+    Two solutions of dbar u = f differ by an entire function; this tabulates
+    the partial weighted energies of amplitude * z^p over growing disks.
+    Under the curvature condition these must blow up, which is why no
     second decaying solution can exist.  ``p`` is a degree 0..3, or a
     sequence of them for a list of tables that share the per-grid work (the
     curvature check, the weight density and the disk masks).
@@ -268,7 +269,6 @@ def uniqueness_probe(u: Field, w: Weight, p, radii=None,
     degrees = [p] if single else list(p)
     if not all(0 <= d <= 3 for d in degrees):
         raise InvalidArgumentError("polynomial degree p must be in 0..3")
-    g = u.grid
     if radii is None:
         radii = [1.0 + 0.5 * i for i in range(int((g.radius - 1.0) / 0.5) + 1)]
     cm = curvature_margin(w, g)

@@ -46,7 +46,9 @@ class Weight:
 
     def _sample(self, fn: Callable, label: str, grid: Grid) -> Field:
         try:
-            return sample(fn, grid)
+            # Field rejects a non-finite value with its node, so numpy's warning adds nothing
+            with np.errstate(over="ignore", invalid="ignore"):
+                return sample(fn, grid)
         except SamplingError as e:
             raise SamplingError(f"weight {self.name!r}, {label}: {e}",
                                 node_index=e.node_index) from e

@@ -5,6 +5,8 @@
 * Spectral ``delz`` = conj o dbar o conj, the del operator on its own (the
   package forms del only beside dbar, in ``diffops.dbar_and_del``).
 * Midpoint-rule ``integrate`` and ``pairing``.
+* ``bargmann_probe_dense``: the Plancherel probe on a fixed 3000 x 480 rule,
+  with e^{x^2/beta} as its own factor on the right sides.
 * T = dbar - M_{dbar phi}, T* = -del - M_{del phi} and the dual picture
   v = e^{phi} u.  T = M_{e^phi} dbar M_{e^{-phi}}, so k lies in ker T*
   exactly when e^{phi} conj(k) is entire and square-integrable against
@@ -13,12 +15,16 @@
 
 from __future__ import annotations
 
+import warnings
 from collections import namedtuple
+from math import pi, sqrt
 
 import numpy as np
 
 from dbarkit import diffops
+from dbarkit.errors import InvalidArgumentError, TruncationMassWarning
 from dbarkit.grid import Field, Grid, warn_boundary_mass
+from dbarkit.moments import BargmannProbeReport
 
 FD4_BAND = 2
 
@@ -111,3 +117,48 @@ def fd4_curvature_margin(w, grid: Grid, lap_scale: float = 1.0) -> np.ndarray:
     margin = np.zeros((grid.n, grid.n))
     margin[mask] = np.real(num.values[mask]) / lap[mask] + 2.0
     return margin
+
+
+def bargmann_probe_dense(beta: float, a: float, amplitude: float = 1.0,
+                         match_tol: float = 1e-4) -> BargmannProbeReport:
+    """``moments.bargmann_probe`` with 3000 x-nodes and 480 nodes per xi axis."""
+    if not (beta > 0 and a > 1.0 / beta):
+        raise InvalidArgumentError("need beta > 0 and a > 1/beta for convergence")
+    rate = min(a, a - 1.0 / beta)
+    Lx = sqrt(45.0 / rate)
+    nx = 3000
+    hx = 2.0 * Lx / nx
+    x = -Lx + (np.arange(nx) + 0.5) * hx
+    s_rate = 1.0 / (2.0 * a)
+    t_rate = beta - 1.0 / (2.0 * a)
+    Ls = sqrt(42.0 / s_rate)
+    Lt = sqrt(42.0 / t_rate)
+    nxi = 480
+    hs = 2.0 * Ls / nxi
+    ht = 2.0 * Lt / nxi
+    s = -Ls + (np.arange(nxi) + 0.5) * hs
+    t = -Lt + (np.arange(nxi) + 0.5) * ht
+    if amplitude == 0.0:
+        return BargmannProbeReport(beta, a, amplitude, 0.0, 0.0, 0.0, "both", 0.0, 0.0)
+    E = np.exp(-1j * np.outer(s, x))
+    G = np.exp(np.outer(x, t) - a * x[:, None] ** 2)
+    FH = amplitude * hx * (E @ G)  # indexed (s, t)
+    damped = np.abs(FH) * np.exp(-0.5 * beta * t[None, :] ** 2)
+    tail = float(max(np.max(damped[[0, -1], :]), np.max(damped[:, [0, -1]])))
+    if tail > 1e-6 * float(np.max(damped)):
+        warnings.warn("bargmann_probe: xi-plane truncation tail above tolerance",
+                      TruncationMassWarning, stacklevel=2)
+    lhs = float(hs * ht * np.sum(np.abs(FH) ** 2 * np.exp(-beta * t[None, :] ** 2)))
+    const = 2.0 * pi**1.5 / sqrt(beta)
+    fx = abs(amplitude) * np.exp(-a * x**2)
+    rhs_literal = float(const * hx * np.sum(fx * np.exp(x**2 / beta)))
+    rhs_quadratic = float(const * hx * np.sum(fx**2 * np.exp(x**2 / beta)))
+    rel_lit = abs(lhs - rhs_literal) / abs(lhs)
+    rel_quad = abs(lhs - rhs_quadratic) / abs(lhs)
+    lit_ok = rel_lit < match_tol
+    quad_ok = rel_quad < match_tol
+    reading = ("both" if lit_ok and quad_ok else
+               "literal" if lit_ok else
+               "quadratic" if quad_ok else "none")
+    return BargmannProbeReport(beta, a, amplitude, lhs, rhs_literal, rhs_quadratic,
+                               reading, rel_lit, rel_quad)

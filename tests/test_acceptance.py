@@ -183,13 +183,12 @@ def test_09_curvature_condition(grid):
     assert ok
 
 
-def test_10_uniqueness_growth(grid, suite):
+def test_10_uniqueness_growth(grid):
     w = fock_weight(1.0)
-    rep = solve_dbar(suite[0].sample_dbar(grid), w)
     worst = float("inf")
     radii = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
     for p in range(4):
-        table = uniqueness_probe(rep.u, w, p, radii=radii)
+        table = uniqueness_probe(grid, w, p, radii=radii)
         worst = min(worst, table["growth_ratio"])
         assert table["monotone"]
     ok = worst > 1e3

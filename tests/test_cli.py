@@ -165,6 +165,30 @@ def test_cli_config_errors_exit_2(tmp_path, capsys, flags):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["verify-identity", "--weight", '{"name":"fock","t":1e300}'],
+        ["curvature", "--grid-radius", "800", "--weight", "cosh-x"],
+    ],
+)
+def test_overflowing_config_prints_only_the_error_line(tmp_path, flags):
+    """numpy's overflow warnings would come before the line and point into the library."""
+    env = dict(os.environ)
+    env.pop("PYTHONWARNINGS", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "dbarkit.cli", *flags, "--grid-n", "64",
+         "--out", str(tmp_path / "r")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: "), proc.stderr
+
+
 def _strict_json(path):
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")

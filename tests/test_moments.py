@@ -10,12 +10,13 @@ from dbarkit.diffops import dbar
 from dbarkit.errors import BoundaryMassWarning, DynamicRangeError, InvalidArgumentError
 from dbarkit.grid import Field, boundary_mass
 from dbarkit.moments import (
+    _probe_rules,
     bargmann_probe,
     diagonal_restriction,
     fourier2,
     moments,
 )
-from oracles import integrate, pairing
+from oracles import bargmann_probe_dense, integrate, pairing
 
 
 @pytest.fixture(scope="module")
@@ -238,3 +239,43 @@ def test_bargmann_rejects_divergent_parameters():
         bargmann_probe(beta=1.0, a=1.0)
     with pytest.raises(InvalidArgumentError):
         bargmann_probe(beta=-1.0, a=2.0)
+    for beta, a in [(1.0, np.inf), (np.inf, 2.0), (np.nan, 2.0), (1.0, np.nan)]:
+        with pytest.raises(InvalidArgumentError):
+            bargmann_probe(beta=beta, a=a)
+
+
+@pytest.mark.parametrize("ab", [1.25, 1.5, 2.0, 3.0, 6.0, 20.0])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 4.0])
+def test_bargmann_derived_rule_matches_dense_rule(beta, ab):
+    rep = bargmann_probe(beta, ab / beta)
+    ref = bargmann_probe_dense(beta, ab / beta)
+    for key in ("lhs", "rhs_literal", "rhs_quadratic"):
+        assert abs(getattr(rep, key) - getattr(ref, key)) < 1e-13 * abs(getattr(ref, key))
+    assert rep.matching_reading == ref.matching_reading
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 4.0])
+@pytest.mark.parametrize("ab, nx", [(1.5, 90), (2.0, 72), (3.0, 61)])
+def test_bargmann_rule_sizes_are_the_documented_ones(beta, ab, nx):
+    assert "nx = 90, 72 and 61 at a*beta = 1.5, 2 and 3" in bargmann_probe.__doc__
+    assert [len(nodes) for nodes, _ in _probe_rules(beta, ab / beta)] == [nx, 27, 27]
+
+
+def test_bargmann_rule_size_guard():
+    bargmann_probe(1.0, 1.0 + 1.1e-6)  # just inside the 3000 x 480 entries
+    with pytest.raises(InvalidArgumentError, match=r"a\*beta - 1 = 1e-06"):
+        bargmann_probe(1.0, 1.0 + 1e-6)
+    with pytest.raises(InvalidArgumentError, match=r"a\*beta - 1 = 1e-07"):
+        bargmann_probe(2.0, (1.0 + 1e-7) / 2.0)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+def test_bargmann_finite_near_the_convergence_edge(beta):
+    a = 1.02 / beta
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = bargmann_probe(beta, a)
+    expect_quad = 2.0 * np.pi**2 / np.sqrt(2.0 * a * beta - 1.0)
+    assert np.isfinite([rep.lhs, rep.rhs_literal, rep.rhs_quadratic]).all()
+    assert abs(rep.rhs_quadratic - expect_quad) < 1e-10 * expect_quad
+    assert rep.matching_reading == "quadratic"

@@ -225,7 +225,7 @@ def test_solve_guards_e2phi_on_support_disk_only(member):
     assert rep.h2_passes
     assert not rep.non_orthogonal_datum
     with pytest.raises(DynamicRangeError):
-        uniqueness_probe(rep.u, w, 1)
+        uniqueness_probe(g, w, 1)
 
 
 def test_gaussian_datum_is_flagged(grid_default, gaussian_field, fock):
@@ -401,39 +401,34 @@ def test_minimal_solution_bound_fock_only(compliant):
 
 
 @pytest.mark.parametrize("p", [0, 1, 2, 3])
-def test_uniqueness_probe_energies_blow_up(compliant, fock, p):
-    rep = solve_dbar(compliant, fock)
-    d = uniqueness_probe(rep.u, fock, p)
+def test_uniqueness_probe_energies_blow_up(grid_default, fock, p):
+    d = uniqueness_probe(grid_default, fock, p)
     assert d["monotone"]
     assert d["growth_ratio"] > 1e3
 
 
-def test_uniqueness_probe_degrees_share_one_call(compliant, fock):
-    rep = solve_dbar(compliant, fock)
+def test_uniqueness_probe_degrees_share_one_call(grid_default, fock):
     radii = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-    tables = uniqueness_probe(rep.u, fock, range(4), radii=radii)
-    assert tables == [uniqueness_probe(rep.u, fock, p, radii=radii) for p in range(4)]
+    tables = uniqueness_probe(grid_default, fock, range(4), radii=radii)
+    assert tables == [uniqueness_probe(grid_default, fock, p, radii=radii) for p in range(4)]
     with pytest.raises(InvalidArgumentError):
-        uniqueness_probe(rep.u, fock, [0, 4])
+        uniqueness_probe(grid_default, fock, [0, 4])
 
 
-def test_uniqueness_probe_zero_amplitude(compliant, fock):
-    rep = solve_dbar(compliant, fock)
-    d = uniqueness_probe(rep.u, fock, 1, amplitude=0.0)
+def test_uniqueness_probe_zero_amplitude(grid_default, fock):
+    d = uniqueness_probe(grid_default, fock, 1, amplitude=0.0)
     assert d["energies"][-1] == 0.0
     assert d["growth_ratio"] == 0.0
 
 
 def test_uniqueness_probe_overflow_guard(grid_default):
-    u0 = Field(grid_default, np.zeros((256, 256), dtype=complex))
     with pytest.raises(DynamicRangeError) as exc:
-        uniqueness_probe(u0, fock_weight(30.0), 1)
+        uniqueness_probe(grid_default, fock_weight(30.0), 1)
     assert exc.value.node_index is not None
 
 
-def test_uniqueness_probe_rejects_bad_inputs(compliant, fock):
-    rep = solve_dbar(compliant, fock)
+def test_uniqueness_probe_rejects_bad_inputs(grid_default, fock):
     with pytest.raises(InvalidArgumentError):
-        uniqueness_probe(rep.u, fock, 4)
+        uniqueness_probe(grid_default, fock, 4)
     with pytest.raises(WeightInvariantViolationError):
-        uniqueness_probe(rep.u, custom_weight({"name": "quartic"}), 1)
+        uniqueness_probe(grid_default, custom_weight({"name": "quartic"}), 1)
