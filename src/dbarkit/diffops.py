@@ -42,9 +42,9 @@ def _fft2(rows, shape, inverse=False, height=None, columns=None, out=None) -> np
     over blocks of whole columns. The blocks hold at most ``BLOCK_NODES``
     nodes and go to ``_map_blocks``, so an n = 256 grid stays on the caller's
     thread; pocketfft releases the interpreter lock, so more threads pay from
-    n = 512. The axis-0 pass runs on ``columns`` only (a slice, default all);
-    the other columns are left after the row pass. ``rows`` runs in the
-    worker threads and may write into its rows of ``out``.
+    n = 512. The axis-0 pass runs on ``columns`` only (a slice, default all;
+    ``slice(0)`` skips it); the other columns are left after the row pass.
+    ``rows`` runs in the worker threads and may write into its rows of ``out``.
     """
     m0, m1 = shape
     height = m0 if height is None else height

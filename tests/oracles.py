@@ -7,6 +7,8 @@
 * Midpoint-rule ``integrate`` and ``pairing``.
 * ``bargmann_probe_dense``: the Plancherel probe on a fixed 3000 x 480 rule,
   with e^{x^2/beta} as its own factor on the right sides.
+* ``norm_identity_fields``: the two sides of the norm identity from
+  full-grid weight fields, products and ``weighted_norm_sq``.
 * T = dbar - M_{dbar phi}, T* = -del - M_{del phi} and the dual picture
   v = e^{phi} u.  T = M_{e^phi} dbar M_{e^{-phi}}, so k lies in ker T*
   exactly when e^{phi} conj(k) is entire and square-integrable against
@@ -23,7 +25,7 @@ import numpy as np
 
 from dbarkit import diffops
 from dbarkit.errors import InvalidArgumentError, TruncationMassWarning
-from dbarkit.grid import Field, Grid, warn_boundary_mass
+from dbarkit.grid import Field, Grid, warn_boundary_mass, weighted_norm_sq
 from dbarkit.moments import BargmannProbeReport
 
 FD4_BAND = 2
@@ -89,6 +91,19 @@ def apply_T(v: Field, w) -> Field:
 
 def apply_Tstar(v: Field, w) -> Field:
     return -delz(v) - w.sample_dphi(v.grid) * v
+
+
+def norm_identity_fields(v: Field, w) -> tuple[float, float]:
+    """(lhs, rhs) of ``identity.verify_norm_identity`` in Field arithmetic: the
+    weight fields, the products T v, T* v and the sums over the whole grid.
+    For the trivial weight, (||dbar v||^2, ||del v||^2)."""
+    dv, delv = diffops.dbar_and_del(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if w.is_trivial():
+            return weighted_norm_sq(dv, 1.0), weighted_norm_sq(delv, 1.0)
+        lhs = (weighted_norm_sq(dv - w.sample_dbarphi(v.grid) * v, 1.0)
+               - weighted_norm_sq(delv + w.sample_dphi(v.grid) * v, 1.0))
+        return lhs, 2.0 * weighted_norm_sq(v, w.sample_lap_hat(v.grid))
 
 
 def to_dual_picture(u: Field, w) -> Field:

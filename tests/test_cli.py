@@ -209,6 +209,18 @@ def test_reports_are_strict_json(tmp_path):
     assert rep["details"]["curvature"]["error"] == "weight-invariant-violation"
 
 
+@pytest.mark.parametrize("n, rc, rel_err", [(17, 1, 0.596), (257, 0, 1.86e-8)])
+def test_quartic_identity_at_odd_n(tmp_path, n, rc, rel_err):
+    # an odd n puts a node at the origin, where lap_hat(|z|^4) = 0; the right
+    # side is a plain integral, so the check runs as at even n
+    assert main(["verify-identity", "--weight", "quartic", "--grid-n", str(n),
+                 "--out", str(tmp_path)]) == rc
+    rep = _strict_json(tmp_path / "verify-identity.json")
+    (check,) = rep["checks"]
+    assert check["passes"] is (rc == 0) and rep["overall"] is (rc == 0)
+    assert check["measured"] == pytest.approx(rel_err, rel=1e-2)
+
+
 def test_uniqueness_probe_without_inner_node_fails_cleanly(tmp_path):
     # at R = 6 and n = 8 no node lies in |z| < 1, so no growth ratio exists
     assert main(["uniqueness-probe", "--grid-n", "8", "--out", str(tmp_path)]) == 1
@@ -252,7 +264,7 @@ def _random_argv():
         # moments and diagonal raise n to 1024 whatever the flag says
         st.sampled_from(["verify-identity", "solve", "check-h1", "sharpness",
                          "curvature", "uniqueness-probe"]),
-        st.sampled_from([8, 16, 32]),
+        st.sampled_from([8, 9, 16, 17, 32]),
         st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0 ** e),
         weight,
     )

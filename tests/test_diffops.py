@@ -198,7 +198,7 @@ def test_fft2_helper_is_numpys_fft2_for_any_cpu_count(n, monkeypatch):
     seen = set()
 
     def rows(r):
-        seen.add(threading.get_ident())
+        seen.add(threading.current_thread())  # idents are reused once a thread ends
         return a[r]
 
     interval = sys.getswitchinterval()

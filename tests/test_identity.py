@@ -1,20 +1,34 @@
+import sys
+import tracemalloc
 import warnings
+from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from dbarkit import build_grid, custom_weight, fock_weight, sample, verify_norm_identity
+from dbarkit import build_grid, custom_weight, fock_weight, grid, sample, verify_norm_identity
 from dbarkit.bumps import random_suite
 from dbarkit.diffops import dbar
-from dbarkit.errors import BoundaryMassWarning, DynamicRangeError
+from dbarkit.errors import BoundaryMassWarning, DynamicRangeError, SamplingError
+from dbarkit.grid import Field, Grid
 from oracles import (
     apply_T,
     apply_Tstar,
     from_dual_picture,
     integrate,
     kernel_check,
+    norm_identity_fields,
     to_dual_picture,
 )
+
+CATALOG = ["fock", "fock-harmonic", "cosh-x", "quartic", "zero"]
+
+
+@lru_cache(maxsize=None)
+def member_field(n):
+    """The seed-42 suite's first member on the R = 6 grid of size n."""
+    return random_suite(1, seed=42)[0].sample(build_grid(6.0, n))
 
 
 @pytest.fixture(scope="module")
@@ -168,3 +182,103 @@ def test_kernel_check_entire_vs_nonentire(grid_default, fock):
     assert r_const < 1e-6
     assert r_cubic < 1e-4
     assert r_conj > 0.1
+
+
+# at a power-of-two n the row blocks are subtrees of numpy's pairwise sum
+@pytest.mark.parametrize("n", [128, 256, 1024])
+@pytest.mark.parametrize("name", CATALOG)
+def test_identity_sides_are_those_of_field_arithmetic(name, n):
+    v, w = member_field(n), custom_weight({"name": name})
+    rep = verify_norm_identity(v, w)
+    assert (rep.lhs, rep.rhs) == norm_identity_fields(v, w)
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_identity_sides_off_a_power_of_two(name):
+    # n = 300 cuts row blocks of 109, 109 and 82 rows, not at numpy's split points
+    v, w = member_field(300), custom_weight({"name": name})
+    rep = verify_norm_identity(v, w)
+    for got, want in zip((rep.lhs, rep.rhs), norm_identity_fields(v, w)):
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def test_identity_is_bit_identical_for_any_cpu_count(monkeypatch):
+    # n = 512: eight row blocks, so up to four threads take them
+    v, w = member_field(512), custom_weight({"name": "cosh-x"})
+    expect = norm_identity_fields(v, w)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(grid, "_usable_cpus", lambda c=cpus: c)
+            rep = verify_norm_identity(v, w)
+            assert (rep.lhs, rep.rhs) == expect
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("late", ["dbar(phi)", "laplacian_hat(phi)"])
+def test_non_finite_weight_names_its_first_node(monkeypatch, late):
+    # non-finite from x > 2 on, rows of the sixth of eight blocks; for
+    # dbar(phi) the Laplacian is also non-finite in the first block, and
+    # dbar(phi) is still the one named, as the full-grid sampling does
+    n = 512
+    v = member_field(n)
+    past = lambda z, f: np.where(z.real > 2.0, np.inf, f)  # noqa: E731
+    if late == "dbar(phi)":
+        w = replace(fock_weight(1.0), name="late",
+                    dphi=lambda z: past(z, 0.5 * np.conj(z)),
+                    lap_hat_phi=lambda z: np.where(z.real < -5.0, np.inf, 0.5))
+    else:
+        w = replace(fock_weight(1.0), name="late", lap_hat_phi=lambda z: past(z, 0.5))
+    with pytest.raises(SamplingError) as ref:
+        norm_identity_fields(v, w)
+    first = int(np.argmax(v.grid.axis > 2.0)) * n
+    assert ref.value.node_index == first and late in str(ref.value)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 3):
+            monkeypatch.setattr(grid, "_usable_cpus", lambda c=cpus: c)
+            with pytest.raises(SamplingError) as exc:
+                verify_norm_identity(v, w)
+            assert str(exc.value) == str(ref.value)
+            assert exc.value.node_index == first
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_identity_builds_no_nodes_and_no_weight_field(monkeypatch):
+    v, w = member_field(256), custom_weight({"name": "cosh-x"})
+    expect = norm_identity_fields(v, w)
+
+    def no_nodes(g):
+        raise AssertionError("Grid.nodes called")
+
+    built = []
+    post_init = Field.__post_init__
+
+    def counted(f):
+        built.append(f)
+        post_init(f)
+
+    monkeypatch.setattr(Grid, "nodes", property(no_nodes))
+    monkeypatch.setattr(Field, "__post_init__", counted)
+    rep = verify_norm_identity(v, w)
+    assert (rep.lhs, rep.rhs) == expect
+    assert len(built) == 2  # dbar v and del v
+
+
+def test_identity_peak_memory(monkeypatch):
+    # n = 256 on one thread: dbar and del with their shared spectrum peak at
+    # 4.5 MiB; full-grid weight fields and products peaked at 5.0 MiB
+    monkeypatch.setattr(grid, "_usable_cpus", lambda: 1)
+    v, w = member_field(256), fock_weight(1.0)
+    verify_norm_identity(v, w)  # numpy's FFT plan caches fill on the first call
+    tracemalloc.start()
+    try:
+        verify_norm_identity(v, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.75 * 2**20

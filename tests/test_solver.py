@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from math import lgamma, pi
 
 import numpy as np
@@ -181,6 +182,21 @@ def test_cauchy_fft_budget(member, monkeypatch):
     assert lines["ifft"] <= 2 * n + n
 
 
+def test_cauchy_peak_memory(member, monkeypatch):
+    # n = 256 on one thread: the kernel's 2n x 2n spectrum and the datum's
+    # n x 2n row pass peak at 6.8 MiB; two 2n x 2n spectra peaked at 9.1 MiB
+    monkeypatch.setattr(grid, "_usable_cpus", lambda: 1)
+    f = member.sample_dbar(build_grid(6.0, 256))
+    cauchy_transform(f)  # numpy's FFT plan caches fill on the first call
+    tracemalloc.start()
+    try:
+        cauchy_transform(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_cauchy_converges_to_exact_inverse(member):
     errs = []
     for n in [64, 128]:
@@ -314,7 +330,7 @@ def _block_threads(monkeypatch):
     kernel = solver._monomial_sums
 
     def recorded(*args):
-        seen.add(threading.get_ident())
+        seen.add(threading.current_thread())  # idents are reused once a thread ends
         return kernel(*args)
 
     monkeypatch.setattr(solver, "_monomial_sums", recorded)
@@ -342,7 +358,7 @@ def test_two_block_grid_stays_on_the_callers_thread(grid_default, member, monkey
     seen = _block_threads(monkeypatch)
     monkeypatch.setattr(grid, "_usable_cpus", lambda: 4)
     fock_bergman_project(member.sample(grid_default))
-    assert seen == {threading.get_ident()}
+    assert seen == {threading.current_thread()}
 
 
 def test_projection_blocks_of_uneven_rows_match_the_series(member):
