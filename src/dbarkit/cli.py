@@ -151,11 +151,28 @@ def _grid(cfg, n_min=0):
     return build_grid(cfg["grid"]["radius"], max(cfg["grid"]["n"], n_min))
 
 
-def _compliant_datum(cfg, grid):
-    return random_suite(1, cfg["seed"])[0].sample_dbar(grid)
+class RunMemo(dict):
+    """What one run samples and reduces once for all its pipelines, made on
+    first use: ``memo[name, grid]`` is the datum ``FIELDS[name]`` on ``grid``
+    for the run's seed, and ``memo[name, grid, J]`` its moments up to J."""
+
+    # dbar of the seed's first suite member (orthogonal to entire functions)
+    # and e^{-|z|^2}, whose m_0 and diagonal restriction are pi
+    FIELDS = {"compliant": lambda seed, grid: random_suite(1, seed)[0].sample_dbar(grid),
+              "gaussian": lambda seed, grid: sample(lambda z: np.exp(-np.abs(z) ** 2), grid)}
+
+    def __init__(self, seed: int):
+        super().__init__()
+        self.seed = seed
+
+    def __missing__(self, key):
+        name, grid, *J = key
+        self[key] = (compute_moments(self[name, grid], *J) if J
+                     else self.FIELDS[name](self.seed, grid))
+        return self[key]
 
 
-def pipe_verify_identity(cfg):
+def pipe_verify_identity(cfg, memo):
     grid = _grid(cfg)
     w = custom_weight(cfg["weight"])
     tol = cfg["tolerances"]["identity_rel"]
@@ -168,10 +185,10 @@ def pipe_verify_identity(cfg):
     return [_check("norm-identity-suite-max-rel-err", worst < tol, worst, tol, tol, dt)], {}
 
 
-def pipe_solve(cfg):
+def pipe_solve(cfg, memo):
     grid = _grid(cfg)
     w = custom_weight(cfg["weight"])
-    f = _compliant_datum(cfg, grid)
+    f = memo["compliant", grid]
     slack = cfg["tolerances"]["bound_slack"]
     t0 = time.perf_counter()
     rep = solver.solve_dbar(f, w, slack=slack)
@@ -186,9 +203,9 @@ def pipe_solve(cfg):
     return checks, {"solution_report": _details(rep, method="spectral"), "_csv": {"u": rep.u}}
 
 
-def pipe_check_h1(cfg):
+def pipe_check_h1(cfg, memo):
     grid = _grid(cfg)
-    f = _compliant_datum(cfg, grid)
+    f = memo["compliant", grid]
     slack = cfg["tolerances"]["bound_slack"]
     t0 = time.perf_counter()
     rep = solver.check_hormander_bound(f, fock_weight(1.0), slack=slack)
@@ -201,7 +218,7 @@ def pipe_check_h1(cfg):
     return checks, {"bound_report": _details(rep)}
 
 
-def pipe_sharpness(cfg):
+def pipe_sharpness(cfg, memo):
     grid = _grid(cfg)
     f = sample(lambda z: -z * np.exp(-np.abs(z) ** 2), grid)
     t0 = time.perf_counter()
@@ -216,12 +233,12 @@ def pipe_sharpness(cfg):
     return checks, {"solution_report": _details(rep, method="spectral")}
 
 
-def pipe_moments(cfg):
+def pipe_moments(cfg, memo):
     grid = _grid(cfg, MOMENT_GRID_N)
-    f = _compliant_datum(cfg, grid)
+    f = memo["compliant", grid]
     tol = cfg["tolerances"]["moment_abs"]
     t0 = time.perf_counter()
-    mv = compute_moments(f, 10)
+    mv = memo["compliant", grid, 10]
     h = grid.spacing
     l1 = float(h * h * np.sum(np.abs(f.values)))
     worst = float(np.max(np.abs(mv.m))) / l1
@@ -229,8 +246,8 @@ def pipe_moments(cfg):
         _check("moments-compliant", worst < tol, worst, tol, tol, time.perf_counter() - t0),
     ]
     t0 = time.perf_counter()
-    g = sample(lambda z: np.exp(-np.abs(z) ** 2), grid)
-    m0 = compute_moments(g, 0).m[0]
+    # m_0 does not depend on J: it is the plain sum of the datum
+    m0 = memo["gaussian", grid, 10].m[0]
     checks.append(_check("moments-gaussian-m0-pi", abs(m0 - pi) < 1e-8, abs(m0), pi,
                          1e-8, time.perf_counter() - t0, informational=True))
     return checks, {
@@ -239,17 +256,16 @@ def pipe_moments(cfg):
     }
 
 
-def pipe_diagonal(cfg):
+def pipe_diagonal(cfg, memo):
     grid = _grid(cfg, MOMENT_GRID_N)
-    f = _compliant_datum(cfg, grid)
+    f = memo["compliant", grid]
     t0 = time.perf_counter()
-    ds = diagonal_restriction(f)
+    ds = diagonal_restriction(f, mv=memo["compliant", grid, 10])
     worst = float(np.max(np.abs(ds.values)))
     checks = [_check("diagonal-compliant-vanishes", worst < 1e-7, worst, 1e-7, 1e-7,
                      time.perf_counter() - t0)]
     t0 = time.perf_counter()
-    g = sample(lambda z: np.exp(-np.abs(z) ** 2), grid)
-    dg = diagonal_restriction(g)
+    dg = diagonal_restriction(memo["gaussian", grid], mv=memo["gaussian", grid, 10])
     dev = float(np.max(np.abs(dg.values - pi)))
     # necessity direction: the violation must be present for the Gaussian
     checks.append(_check("diagonal-gaussian-constant-pi", dev < 1e-4, dev, 1e-4, 1e-4,
@@ -257,7 +273,7 @@ def pipe_diagonal(cfg):
     return checks, {"_csv": {"diagonal_compliant": ds.to_csv(), "diagonal_gaussian": dg.to_csv()}}
 
 
-def pipe_bargmann(cfg):
+def pipe_bargmann(cfg, memo):
     checks = []
     reports = []
     readings = set()
@@ -279,7 +295,7 @@ def pipe_bargmann(cfg):
     return checks, {"probes": reports, "matching_reading": sorted(readings)}
 
 
-def pipe_curvature(cfg):
+def pipe_curvature(cfg, memo):
     grid = _grid(cfg)
     t0 = time.perf_counter()
     try:
@@ -294,7 +310,7 @@ def pipe_curvature(cfg):
     return checks, {"curvature_report": _details(rep)}
 
 
-def pipe_uniqueness(cfg):
+def pipe_uniqueness(cfg, memo):
     grid = _grid(cfg)
     w = fock_weight(1.0)
     t0 = time.perf_counter()
@@ -327,7 +343,8 @@ PIPELINES = {
 def run(cfg: dict, subcommand: str) -> dict:
     """Execute the named pipeline(s); returns the suite result structure.
 
-    ``_csv`` maps ``<pipeline>_<stem>`` to a ``Field`` or to CSV text.
+    ``_csv`` maps ``<pipeline>_<stem>`` to a ``Field`` or to CSV text.  The
+    pipelines share one ``RunMemo``.
     """
     if subcommand != "all" and subcommand not in PIPELINES:
         raise InvalidArgumentError(f"unknown subcommand {subcommand!r}")
@@ -335,8 +352,9 @@ def run(cfg: dict, subcommand: str) -> dict:
     all_checks = []
     details = {}
     csv = {}
+    memo = RunMemo(cfg["seed"])
     for name in names:
-        checks, extra = PIPELINES[name](cfg)
+        checks, extra = PIPELINES[name](cfg, memo)
         all_checks.extend(checks)
         for stem, art in extra.pop("_csv", {}).items():
             csv[f"{name}_{stem}"] = art

@@ -138,8 +138,11 @@ def weighted_norm_sq(v: Field, w) -> float:
 
 
 def boundary_mass(v: Field, frac: float = 0.05) -> float:
-    """Relative sup of |v| on the outermost ``frac`` ring of the square."""
-    return _ring_max_ratio(np.abs(v.values), _ring_mask(v.grid.n, frac))
+    """Relative sup of |v| on the outermost ``frac`` ring of the square, or 0
+    where v is all zero."""
+    mag = np.abs(v.values)
+    peak = np.max(mag, initial=0.0)
+    return float(np.max(mag[_ring_mask(v.grid.n, frac)]) / peak) if peak else 0.0
 
 
 def _ring_mask(n: int, frac: float = 0.05) -> np.ndarray:
@@ -148,14 +151,6 @@ def _ring_mask(n: int, frac: float = 0.05) -> np.ndarray:
     mask = np.ones((n, n), dtype=bool)
     mask[band:-band, band:-band] = False
     return mask
-
-
-def _ring_max_ratio(mag: np.ndarray, ring: np.ndarray) -> float:
-    """max(mag[ring]) / max(mag), or 0 where ``mag`` is all zero."""
-    peak = float(np.max(mag, initial=0.0))
-    if peak == 0.0:
-        return 0.0
-    return float(np.max(mag[ring], initial=0.0) / peak)
 
 
 def warn_boundary_mass(v, threshold: float = 1e-14, context: str = "field"):

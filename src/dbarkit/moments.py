@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .errors import DynamicRangeError, InvalidArgumentError, TruncationMassWarning
-from .grid import FLOAT_FMT, Field, _ring_mask, _ring_max_ratio, warn_boundary_mass
+from .grid import BLOCK_NODES, FLOAT_FMT, Field, _ring_mask, warn_boundary_mass
 
 IM_EXPONENT_CAP = 30.0
 # the largest x-node by xi-node count bargmann_probe admits (the fixed
@@ -57,33 +57,55 @@ def _monomial_sums(z: np.ndarray, a: np.ndarray, J: int, h: float) -> np.ndarray
     return out
 
 
+def _pairwise_sum(leaf, lo: int, hi: int, size: int = BLOCK_NODES):
+    """``leaf(lo', hi')`` over runs of ``range(lo, hi)`` of at most ``size``
+    items, added along the tree of numpy's complex pairwise ``np.sum``, which
+    over N > 64 values adds the sums of the first (N - N mod 8) / 2 and of the
+    rest (Higham 1993, SIAM J. Sci. Comput. 14(4)): for ``size`` >= 64 and
+    ``leaf`` an ``np.sum`` over its run, this is ``np.sum`` to the bit."""
+    count = hi - lo
+    if count <= size:
+        return leaf(lo, hi)
+    mid = lo + (count - count % 8) // 2
+    return _pairwise_sum(leaf, lo, mid, size) + _pairwise_sum(leaf, mid, hi, size)
+
+
 def moments(f: Field, J: int) -> MomentVector:
-    """m_j = integral z^j f dA for j = 0..J by midpoint quadrature."""
+    """m_j = integral z^j f dA for j = 0..J by midpoint quadrature.
+
+    The datum's nonzero nodes, in row-major order, are cut along
+    ``_pairwise_sum``'s tree into runs; each gathers its values and nodes
+    and takes its ``_monomial_sums`` and warning maxima, so m_j is
+    ``h^2 np.sum(z^j a)`` to the bit with no full-length copy: a dense field
+    at n = 1024 peaks at 4.3 MiB (tracemalloc) against 49.0 MiB gathered.
+    """
     if J < 0:
         raise InvalidArgumentError(f"J must be nonnegative, got {J}")
     g = f.grid
-    # bump data are exact zeros off their support, so every step below runs
-    # on the nonzero nodes only; their coordinates come from the axis, as a
-    # full node array or index pairs would raise the peak of `dbarkit all`
-    # (a dense Gaussian datum at n = 1024) by 16 to 32 MB
     nz = f.values != 0
-    a = f.values[nz]
-    z = np.empty(a.shape, dtype=complex)
-    z.real = np.repeat(g.axis, np.count_nonzero(nz, axis=1))
-    z.imag = np.broadcast_to(g.axis, nz.shape)[nz]
-    # the boundary requirement scales with the strongest monomial weight;
-    # the threshold is looser than for plain fields because the monomial
-    # factor suppresses the interior peak, not because more mass is allowed
-    weight = np.abs(z) / (sqrt(2.0) * g.radius)
-    weight **= J
-    weight *= np.abs(a)
-    warn_boundary_mass(
-        _ring_max_ratio(weight, _ring_mask(g.n)[nz]),
-        threshold=1e-6,
-        context=f"moments up to J={J}",
-    )
-    del weight
-    return MomentVector(J, _monomial_sums(z, a, J, g.spacing))
+    row_start = np.concatenate(([0], np.cumsum(np.count_nonzero(nz, axis=1))))
+    X, Y = np.broadcast_arrays(g.axis[:, None], g.axis[None, :])
+    ring = _ring_mask(g.n)
+    peaks = []  # per run: max of the monomial weight, overall and on the ring
+
+    def leaf(lo, hi):
+        r0, r1 = np.searchsorted(row_start, lo, "right") - 1, np.searchsorted(row_start, hi)
+        run = slice(lo - row_start[r0], hi - row_start[r0])
+        a, x, y, on_ring = (v[r0:r1][nz[r0:r1]][run] for v in (f.values, X, Y, ring))
+        z = np.empty(a.shape, dtype=complex)
+        z.real, z.imag = x, y
+        # the boundary requirement scales with the strongest monomial weight;
+        # the threshold is looser than for plain fields because the monomial
+        # factor suppresses the interior peak, not because more mass is allowed
+        weight = (np.abs(z) / (sqrt(2.0) * g.radius)) ** J * np.abs(a)
+        peaks.append((np.max(weight, initial=0.0), np.max(weight[on_ring], initial=0.0)))
+        return _monomial_sums(z, a, J, 1.0)
+
+    sums = _pairwise_sum(leaf, 0, int(row_start[-1]))
+    peak, on_ring = np.max(peaks, axis=0)
+    warn_boundary_mass(on_ring / peak if peak else 0.0, threshold=1e-6,
+                       context=f"moments up to J={J}")
+    return MomentVector(J, g.spacing * g.spacing * sums)
 
 
 def fourier2(f: Field, xi: complex, eta: complex) -> complex:
@@ -125,14 +147,16 @@ def default_diagonal_samples() -> np.ndarray:
     return np.concatenate([line, ring])
 
 
-def diagonal_restriction(f: Field, xi_samples=None, J: int = 10) -> DiagonalSeries:
-    """fhat(xi, i*xi) by quadrature, against the truncated moment series."""
+def diagonal_restriction(f: Field, xi_samples=None, J: int = 10,
+                         mv: MomentVector | None = None) -> DiagonalSeries:
+    """fhat(xi, i*xi) by quadrature, against the truncated moment series
+    (of ``mv``, ``moments(f, J)`` already taken, when given)."""
     if xi_samples is None:
         xi_samples = default_diagonal_samples()
     xi_samples = np.asarray(xi_samples, dtype=complex)
-    mv = moments(f, J)
+    mv = moments(f, J) if mv is None else mv
     values = _fourier2_samples(f, xi_samples, 1j * xi_samples)
-    series = polyval(-1j * xi_samples, mv.m / [factorial(j) for j in range(J + 1)])
+    series = polyval(-1j * xi_samples, mv.m / [factorial(j) for j in range(mv.J + 1)])
     return DiagonalSeries(xi_samples, values, series)
 
 

@@ -5,6 +5,8 @@
 * Spectral ``delz`` = conj o dbar o conj, the del operator on its own (the
   package forms del only beside dbar, in ``diffops.dbar_and_del``).
 * Midpoint-rule ``integrate`` and ``pairing``.
+* ``moments_gathered``: the moments from one full-length gather of the
+  datum's nonzero values and nodes, each m_j one ``np.sum``.
 * ``bargmann_probe_dense``: the Plancherel probe on a fixed 3000 x 480 rule,
   with e^{x^2/beta} as its own factor on the right sides.
 * ``norm_identity_fields``: the two sides of the norm identity from
@@ -25,8 +27,8 @@ import numpy as np
 
 from dbarkit import diffops
 from dbarkit.errors import InvalidArgumentError, TruncationMassWarning
-from dbarkit.grid import Field, Grid, warn_boundary_mass, weighted_norm_sq
-from dbarkit.moments import BargmannProbeReport
+from dbarkit.grid import Field, Grid, _ring_mask, warn_boundary_mass, weighted_norm_sq
+from dbarkit.moments import BargmannProbeReport, MomentVector, _monomial_sums
 
 FD4_BAND = 2
 
@@ -83,6 +85,25 @@ def integrate(v: Field) -> complex:
 def pairing(f: Field, g: Field) -> complex:
     """Bilinear pairing integral f*g dA (no conjugation)."""
     return integrate(f * g)
+
+
+def moments_gathered(f: Field, J: int) -> MomentVector:
+    """``moments.moments`` from full-length copies: the nonzero values ``a``,
+    their nodes ``z`` and the warning's monomial weight, one array each."""
+    g = f.grid
+    nz = f.values != 0
+    a = f.values[nz]
+    z = np.empty(a.shape, dtype=complex)
+    z.real = np.repeat(g.axis, np.count_nonzero(nz, axis=1))
+    z.imag = np.broadcast_to(g.axis, nz.shape)[nz]
+    weight = np.abs(z) / (sqrt(2.0) * g.radius)
+    weight **= J
+    weight *= np.abs(a)
+    peak = np.max(weight, initial=0.0)
+    ring = np.max(weight[_ring_mask(g.n)[nz]], initial=0.0)
+    warn_boundary_mass(float(ring / peak) if peak else 0.0, threshold=1e-6,
+                       context=f"moments up to J={J}")
+    return MomentVector(J, _monomial_sums(z, a, J, g.spacing))
 
 
 def apply_T(v: Field, w) -> Field:

@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import os
@@ -345,6 +346,47 @@ def test_run_curvature_fails_for_degenerate_weight():
     result = run(cfg, "curvature")
     assert not result["overall"]
     assert result["details"]["curvature"]["error"] == "weight-invariant-violation"
+
+
+@pytest.fixture(scope="module")
+def counted_all_run():
+    """One in-process ``run(cfg, "all")`` at the defaults: the grids
+    ``sample_dbar`` was called on and the (field, J) of every moments call."""
+    from dbarkit.bumps import BumpPoly
+
+    # the package's ``moments`` is the function, so the modules come by name
+    cli, mom, solver = (importlib.import_module(f"dbarkit.{m}")
+                        for m in ("cli", "moments", "solver"))
+    grids, calls = [], []
+    sample_dbar, moments = BumpPoly.sample_dbar, mom.moments
+
+    def counted_sample_dbar(self, grid):
+        grids.append(grid)
+        return sample_dbar(self, grid)
+
+    def counted_moments(f, J):
+        calls.append((f, J))  # holding f keeps its id from being reused
+        return moments(f, J)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BumpPoly, "sample_dbar", counted_sample_dbar)
+        for module, name in ((mom, "moments"), (solver, "moments"), (cli, "compute_moments")):
+            mp.setattr(module, name, counted_moments)
+        assert run(load_config(), "all")["overall"]
+    return grids, [(id(f), f.grid.n, J) for f, J in calls]
+
+
+def test_all_samples_the_compliant_datum_once_per_grid(counted_all_run):
+    grids, _ = counted_all_run
+    assert sorted(g.n for g in grids) == [256, 1024]
+
+
+def test_all_takes_each_moment_vector_once(counted_all_run):
+    _, calls = counted_all_run
+    assert len(set(calls)) == len(calls)
+    # solve's and sharpness's data at n = 256, the compliant datum and the
+    # Gaussian at 1024 (without the memo the last two are taken twice each)
+    assert sorted((n, J) for _, n, J in calls) == [(256, 10)] * 2 + [(1024, 10)] * 2
 
 
 def test_config_file_sequential_stands_without_flag(tmp_path):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from math import factorial
 
@@ -8,15 +9,16 @@ from dbarkit import build_grid, sample
 from dbarkit.bumps import random_suite
 from dbarkit.diffops import dbar
 from dbarkit.errors import BoundaryMassWarning, DynamicRangeError, InvalidArgumentError
-from dbarkit.grid import Field, boundary_mass
+from dbarkit.grid import BLOCK_NODES, Field, boundary_mass
 from dbarkit.moments import (
+    _pairwise_sum,
     _probe_rules,
     bargmann_probe,
     diagonal_restriction,
     fourier2,
     moments,
 )
-from oracles import bargmann_probe_dense, integrate, pairing
+from oracles import bargmann_probe_dense, integrate, moments_gathered, pairing
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +96,108 @@ def test_compliant_datum_moments_vanish(grid_fine, compliant_fine):
     h = grid_fine.spacing
     l1 = h * h * np.sum(np.abs(compliant_fine.values))
     assert np.max(np.abs(mv.m)) / l1 < 1e-8
+
+
+def _assert_moments_match_oracle(f, J):
+    """``moments(f, J)`` equals the gathered oracle to the bit, warning and all."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = moments(f, J)
+        ref = moments_gathered(f, J)
+    assert got.J == ref.J == J
+    assert got.m.view(np.uint64).tolist() == ref.m.view(np.uint64).tolist()
+    assert len(caught) in (0, 2)
+    assert [str(w.message) for w in caught[:1]] == [str(w.message) for w in caught[1:]]
+
+
+@pytest.fixture(scope="module")
+def grid_1024():
+    return build_grid(6.0, 1024)
+
+
+@pytest.mark.parametrize("seed", [*range(11), 42])
+def test_streamed_moments_match_oracle_on_compliant_data(grid_1024, seed):
+    f = random_suite(1, seed)[0].sample_dbar(grid_1024)
+    for J in (0, 10):
+        _assert_moments_match_oracle(f, J)
+
+
+def test_streamed_moments_match_oracle_on_the_gaussian(grid_1024):
+    g = sample(lambda z: np.exp(-np.abs(z) ** 2), grid_1024)
+    for J in (0, 10):
+        _assert_moments_match_oracle(g, J)
+    # the run's memo reads m_0 from the J = 10 vector
+    assert moments(g, 10).m[0] == moments(g, 0).m[0]
+
+
+@pytest.mark.parametrize("n", [8, 17, 257, 300])
+@pytest.mark.parametrize("density", [1.0, 0.1])
+def test_streamed_moments_match_oracle_on_random_fields(n, density):
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    v[rng.uniform(size=(n, n)) >= density] = 0.0
+    f = Field(build_grid(6.0, n), v)
+    for J in (0, 10):
+        _assert_moments_match_oracle(f, J)
+
+
+@pytest.mark.parametrize("datum", ["zero", "last-node"])
+def test_streamed_moments_match_oracle_at_the_edges(datum):
+    n = 33
+    v = np.zeros((n, n), dtype=complex)
+    if datum == "last-node":
+        v[-1, -1] = 0.5 - 2.0j
+    for J in (0, 10):
+        _assert_moments_match_oracle(Field(build_grid(6.0, n), v), J)
+
+
+@pytest.mark.parametrize("size", [64, BLOCK_NODES])
+@pytest.mark.parametrize("count", [*range(1, 21), *range(127, 131), 8191, 8192, 8193, 141488])
+def test_pairwise_tree_is_numpys_sum(count, size):
+    # fails loudly if numpy changes where its pairwise complex sum splits
+    rng = np.random.default_rng(count)
+    v = rng.standard_normal(count) * 10.0 ** rng.uniform(-8, 8, count)
+    v = v + 1j * rng.standard_normal(count) * 10.0 ** rng.uniform(-8, 8, count)
+    got = _pairwise_sum(lambda lo, hi: np.sum(v[lo:hi]), 0, count, size)
+    assert got == np.sum(v)
+
+
+def _traced_peak_mib(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_moments_stream_in_little_memory(grid_1024):
+    # a gathered kernel peaks at 49.0 MiB here: three full-length copies of
+    # a dense field and the warning's weight
+    g = sample(lambda z: np.exp(-np.abs(z) ** 2), grid_1024)
+    assert _traced_peak_mib(lambda: moments(g, 10)) < 8.0
+
+
+@pytest.mark.parametrize("n", [257, 513])
+def test_row_blocked_sampling_is_the_masked_closed_form(n):
+    grid = build_grid(6.0, n)
+    z = grid.nodes
+    for member in random_suite(3, 7):
+        inside = member._s(z) < 1.0  # the disk, with the arithmetic of ``_s``
+        rows = np.flatnonzero(inside.any(axis=1))
+        # the support crosses an edge of the row blocks
+        assert rows[0] // (BLOCK_NODES // n) < rows[-1] // (BLOCK_NODES // n)
+        for method, fn in (("sample", member), ("sample_dbar", member.dbar),
+                           ("sample_dz", member.dz)):
+            ref = np.zeros((n, n), dtype=complex)
+            ref[inside] = fn(z)[inside]
+            got = getattr(member, method)(grid).values
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), method
+
+
+def test_sampling_stays_within_its_output(grid_1024, member):
+    # the field itself is 16 MiB; full-grid masks and nodes peaked at 53.7 MiB
+    assert _traced_peak_mib(lambda: member.sample_dbar(grid_1024)) < 24.0
 
 
 def test_pairing_agrees_with_moments(grid_default, gaussian_field):
