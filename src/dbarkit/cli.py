@@ -7,7 +7,8 @@ returns a copy of it with a config file's keys and then flag overrides
 merged in and validated; pipelines read that dict, and reports echo it as
 their ``config`` block.  ``emit_report`` is the one place that decides the
 report format: strict JSON from the stdlib encoder, with sorted keys,
-shortest round-trip floats and ASCII escapes (and optionally CSV dumps).
+shortest round-trip floats and ASCII escapes (and optionally CSV dumps),
+with the pipelines' wall times in a sidecar, so a report depends on its inputs.
 The process exits 0 exactly when every non-informational check passes, and
 2 on a configuration error.
 """
@@ -40,11 +41,12 @@ DEFAULT_CONFIG = {
     "grid": {"radius": 6.0, "n": 256},
     "weight": {"name": "fock", "t": 1.0},
     # only "spectral": kept since the benchmark's recorded reports hold the key,
-    # until the benchmark-upkeep change records them again (ROADMAP item 7)
+    # until the benchmark-upkeep change records them again (ROADMAP item 8)
     "scheme": "spectral",
     "tolerances": {"identity_rel": 1e-6, "moment_abs": 1e-8, "bound_slack": 0.01},
     "seed": 42,
     "output": {"dir": "reports", "format": "json"},
+    # ignored, as no report holds a clock: kept like "scheme", and for the same reason
     "sequential": False,
 }
 FORMATS = ("json", "csv")
@@ -124,19 +126,15 @@ def load_config(path=None, overrides=None) -> dict:
     return cfg
 
 
-def _check(name, passes, measured, bound, tolerance, runtime_s, informational=False):
-    """One report entry; ``runtime_s`` is the duration of the computation behind it.
-
-    ``measured`` is None when the computation produced no number; the
-    pipeline's details say why.
-    """
+def _check(name, passes, measured, bound, tolerance, informational=False):
+    """One report entry; ``measured`` is None when the computation produced
+    no number, and the pipeline's details say why."""
     return {
         "name": name,
         "passes": bool(passes),
         "measured": None if measured is None else float(measured),
         "bound": float(bound),
         "tolerance": float(tolerance),
-        "runtime_ms": float(runtime_s * 1e3),
         "informational": bool(informational),
     }
 
@@ -177,12 +175,10 @@ def pipe_verify_identity(cfg, memo):
     w = custom_weight(cfg["weight"])
     tol = cfg["tolerances"]["identity_rel"]
     worst = 0.0
-    t0 = time.perf_counter()
     for member in random_suite(20, cfg["seed"]):
         rep = identity.verify_norm_identity(member.sample(grid), w, tol)
         worst = max(worst, rep.rel_err)
-    dt = time.perf_counter() - t0
-    return [_check("norm-identity-suite-max-rel-err", worst < tol, worst, tol, tol, dt)], {}
+    return [_check("norm-identity-suite-max-rel-err", worst < tol, worst, tol, tol)], {}
 
 
 def pipe_solve(cfg, memo):
@@ -190,15 +186,13 @@ def pipe_solve(cfg, memo):
     w = custom_weight(cfg["weight"])
     f = memo["compliant", grid]
     slack = cfg["tolerances"]["bound_slack"]
-    t0 = time.perf_counter()
     rep = solver.solve_dbar(f, w, slack=slack)
-    dt = time.perf_counter() - t0
     checks = [
         _check("solve-h2-bound", rep.h2_passes, rep.h2_lhs, rep.h2_rhs * (1 + slack), slack,
-               dt, informational=rep.non_orthogonal_datum),
-        _check("solve-residual", rep.residual_inf < 1e-6, rep.residual_inf, 1e-6, 1e-6, dt),
+               informational=rep.non_orthogonal_datum),
+        _check("solve-residual", rep.residual_inf < 1e-6, rep.residual_inf, 1e-6, 1e-6),
         _check("solve-compliant-not-flagged", not rep.non_orthogonal_datum,
-               rep.moment_rel_max, solver.MOMENT_REL_TOL, solver.MOMENT_REL_TOL, dt),
+               rep.moment_rel_max, solver.MOMENT_REL_TOL, solver.MOMENT_REL_TOL),
     ]
     return checks, {"solution_report": _details(rep, method="spectral"), "_csv": {"u": rep.u}}
 
@@ -207,13 +201,11 @@ def pipe_check_h1(cfg, memo):
     grid = _grid(cfg)
     f = memo["compliant", grid]
     slack = cfg["tolerances"]["bound_slack"]
-    t0 = time.perf_counter()
     rep = solver.check_hormander_bound(f, fock_weight(1.0), slack=slack)
-    dt = time.perf_counter() - t0
     checks = [
-        _check("h1-bound", rep.passes, rep.h1_lhs, rep.h1_rhs * (1 + slack), slack, dt),
+        _check("h1-bound", rep.passes, rep.h1_lhs, rep.h1_rhs * (1 + slack), slack),
         _check("h1-projection-idempotence", rep.projection_idempotence_err < 1e-6,
-               rep.projection_idempotence_err, 1e-6, 1e-6, dt),
+               rep.projection_idempotence_err, 1e-6, 1e-6),
     ]
     return checks, {"bound_report": _details(rep)}
 
@@ -221,14 +213,12 @@ def pipe_check_h1(cfg, memo):
 def pipe_sharpness(cfg, memo):
     grid = _grid(cfg)
     f = sample(lambda z: -z * np.exp(-np.abs(z) ** 2), grid)
-    t0 = time.perf_counter()
     rep = solver.solve_dbar(f, fock_weight(1.0), slack=cfg["tolerances"]["bound_slack"])
-    dt = time.perf_counter() - t0
     ratio = rep.h2_lhs / rep.h2_rhs
     checks = [
-        _check("sharpness-lhs-pi", abs(rep.h2_lhs - pi) < 1e-6, rep.h2_lhs, pi, 1e-6, dt),
-        _check("sharpness-rhs-pi", abs(rep.h2_rhs - pi) < 1e-6, rep.h2_rhs, pi, 1e-6, dt),
-        _check("sharpness-ratio-one", abs(ratio - 1.0) < 1e-6, ratio, 1.0, 1e-6, dt),
+        _check("sharpness-lhs-pi", abs(rep.h2_lhs - pi) < 1e-6, rep.h2_lhs, pi, 1e-6),
+        _check("sharpness-rhs-pi", abs(rep.h2_rhs - pi) < 1e-6, rep.h2_rhs, pi, 1e-6),
+        _check("sharpness-ratio-one", abs(ratio - 1.0) < 1e-6, ratio, 1.0, 1e-6),
     ]
     return checks, {"solution_report": _details(rep, method="spectral")}
 
@@ -237,20 +227,17 @@ def pipe_moments(cfg, memo):
     grid = _grid(cfg, MOMENT_GRID_N)
     f = memo["compliant", grid]
     tol = cfg["tolerances"]["moment_abs"]
-    t0 = time.perf_counter()
     mv = memo["compliant", grid, 10]
     h = grid.spacing
     l1 = float(h * h * np.sum(np.abs(f.values)))
     worst = float(np.max(np.abs(mv.m))) / l1
-    checks = [
-        _check("moments-compliant", worst < tol, worst, tol, tol, time.perf_counter() - t0),
-    ]
-    t0 = time.perf_counter()
     # m_0 does not depend on J: it is the plain sum of the datum
     m0 = memo["gaussian", grid, 10].m[0]
-    checks.append(_check("moments-gaussian-m0-pi", abs(m0 - pi) < 1e-8, abs(m0), pi,
-                         1e-8, time.perf_counter() - t0, informational=True))
-    return checks, {
+    return [
+        _check("moments-compliant", worst < tol, worst, tol, tol),
+        _check("moments-gaussian-m0-pi", abs(m0 - pi) < 1e-8, abs(m0), pi, 1e-8,
+               informational=True),
+    ], {
         "moments": {"J": mv.J, "m_re": mv.m.real.tolist(), "m_im": mv.m.imag.tolist()},
         "gaussian_m0": {"re": float(m0.real), "im": float(m0.imag)},
     }
@@ -258,72 +245,53 @@ def pipe_moments(cfg, memo):
 
 def pipe_diagonal(cfg, memo):
     grid = _grid(cfg, MOMENT_GRID_N)
-    f = memo["compliant", grid]
-    t0 = time.perf_counter()
-    ds = diagonal_restriction(f, mv=memo["compliant", grid, 10])
+    ds = diagonal_restriction(memo["compliant", grid], mv=memo["compliant", grid, 10])
     worst = float(np.max(np.abs(ds.values)))
-    checks = [_check("diagonal-compliant-vanishes", worst < 1e-7, worst, 1e-7, 1e-7,
-                     time.perf_counter() - t0)]
-    t0 = time.perf_counter()
     dg = diagonal_restriction(memo["gaussian", grid], mv=memo["gaussian", grid, 10])
     dev = float(np.max(np.abs(dg.values - pi)))
-    # necessity direction: the violation must be present for the Gaussian
-    checks.append(_check("diagonal-gaussian-constant-pi", dev < 1e-4, dev, 1e-4, 1e-4,
-                         time.perf_counter() - t0))
-    return checks, {"_csv": {"diagonal_compliant": ds.to_csv(), "diagonal_gaussian": dg.to_csv()}}
+    return [
+        _check("diagonal-compliant-vanishes", worst < 1e-7, worst, 1e-7, 1e-7),
+        # necessity direction: the violation must be present for the Gaussian
+        _check("diagonal-gaussian-constant-pi", dev < 1e-4, dev, 1e-4, 1e-4),
+    ], {"_csv": {"diagonal_compliant": ds.to_csv(), "diagonal_gaussian": dg.to_csv()}}
 
 
 def pipe_bargmann(cfg, memo):
-    checks = []
-    reports = []
-    readings = set()
-    total = 0.0
+    checks, reports, readings = [], [], set()
     for a in (1.5, 2.0, 3.0):
-        t0 = time.perf_counter()
         rep = bargmann_probe(1.0, a)
-        dt = time.perf_counter() - t0
-        total += dt
         reports.append(_details(rep))
         readings.add(rep.matching_reading)
         ok = rep.matching_reading in ("literal", "quadratic")
         checks.append(_check(f"bargmann-unique-reading-a={a:g}", ok,
-                             min(rep.rel_err_literal, rep.rel_err_quadratic), 1e-4,
-                             1e-4, dt))
-    # the reading comparison draws on every probe above
+                             min(rep.rel_err_literal, rep.rel_err_quadratic), 1e-4, 1e-4))
     checks.append(_check("bargmann-consistent-reading", len(readings) == 1,
-                         float(len(readings)), 1.0, 0.0, total))
+                         float(len(readings)), 1.0, 0.0))
     return checks, {"probes": reports, "matching_reading": sorted(readings)}
 
 
 def pipe_curvature(cfg, memo):
     grid = _grid(cfg)
-    t0 = time.perf_counter()
     try:
-        w = custom_weight(cfg["weight"])
-        rep = curvature_margin(w, grid)
+        rep = curvature_margin(custom_weight(cfg["weight"]), grid)
     except WeightInvariantViolationError as e:
-        return [_check("curvature-margin", False, None, 0.0, 1e-9,
-                       time.perf_counter() - t0)], {
+        return [_check("curvature-margin", False, None, 0.0, 1e-9)], {
             "error": "weight-invariant-violation", "detail": str(e)}
-    checks = [_check("curvature-margin", rep.passes, rep.min_margin, -1e-9, 1e-9,
-                     time.perf_counter() - t0)]
+    checks = [_check("curvature-margin", rep.passes, rep.min_margin, -1e-9, 1e-9)]
     return checks, {"curvature_report": _details(rep)}
 
 
 def pipe_uniqueness(cfg, memo):
     grid = _grid(cfg)
     w = fock_weight(1.0)
-    t0 = time.perf_counter()
     probes = solver.uniqueness_probe(grid, w, range(4), radii=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-    dt = (time.perf_counter() - t0) / len(probes)  # the shared call, split evenly
-    checks = []
-    tables = {}
+    checks, tables = [], {}
     for table in probes:
         p = table["p"]
         tables[f"p={p}"] = table
         ratio = table["growth_ratio"]
         ok = table["monotone"] and ratio is not None and ratio > 1e3
-        checks.append(_check(f"uniqueness-growth-p={p}", ok, ratio, 1e3, 1e3, dt))
+        checks.append(_check(f"uniqueness-growth-p={p}", ok, ratio, 1e3, 1e3))
     return checks, {"tables": tables}
 
 
@@ -343,27 +311,25 @@ PIPELINES = {
 def run(cfg: dict, subcommand: str) -> dict:
     """Execute the named pipeline(s); returns the suite result structure.
 
-    ``_csv`` maps ``<pipeline>_<stem>`` to a ``Field`` or to CSV text.  The
-    pipelines share one ``RunMemo``.
+    ``_csv`` maps ``<pipeline>_<stem>`` to a ``Field`` or to CSV text.
+    ``_timings`` maps each pipeline to its wall time in ms, which the report
+    itself never holds.  The pipelines share one ``RunMemo``, so a datum's
+    sampling and moments count towards the first pipeline that asks for them.
     """
     if subcommand != "all" and subcommand not in PIPELINES:
         raise InvalidArgumentError(f"unknown subcommand {subcommand!r}")
     names = list(PIPELINES) if subcommand == "all" else [subcommand]
-    all_checks = []
-    details = {}
-    csv = {}
+    all_checks, details, csv, timings = [], {}, {}, {}
     memo = RunMemo(cfg["seed"])
     for name in names:
+        t0 = time.perf_counter()
         checks, extra = PIPELINES[name](cfg, memo)
+        timings[name] = (time.perf_counter() - t0) * 1e3
         all_checks.extend(checks)
         for stem, art in extra.pop("_csv", {}).items():
             csv[f"{name}_{stem}"] = art
         if extra:
             details[name] = extra
-    if cfg["sequential"]:
-        # timings are the only nondeterministic report content
-        for c in all_checks:
-            c["runtime_ms"] = 0.0
     return {
         "subcommand": subcommand,
         "config": cfg,
@@ -371,20 +337,22 @@ def run(cfg: dict, subcommand: str) -> dict:
         "details": details,
         "overall": all(c["passes"] for c in all_checks if not c["informational"]),
         "_csv": csv,
+        "_timings": timings,
     }
 
 
 def emit_report(result: dict, cfg: dict) -> list[str]:
-    """Write the JSON report (and the CSV dumps when requested)."""
+    """Write the JSON report, its timings sidecar ``<subcommand>.timings.json``
+    (and the CSV dumps when requested) into the existing output directory."""
     out = Path(cfg["output"]["dir"])
-    out.mkdir(parents=True, exist_ok=True)
     public = {k: v for k, v in result.items() if not k.startswith("_")}
     jpath = out / f"{result['subcommand']}.json"
     # allow_nan=False raises ValueError on NaN or +-inf, keeping reports strict
-    # JSON; the ASCII escapes make any string writable, even an --out path
-    # holding an undecodable byte
+    # JSON; the ASCII escapes make any string writable, even an undecodable --out
     jpath.write_text(json.dumps(public, sort_keys=True, allow_nan=False) + "\n")
-    written = [str(jpath)]
+    tpath = out / f"{result['subcommand']}.timings.json"
+    tpath.write_text(json.dumps({"runtime_ms": result["_timings"]}, sort_keys=True) + "\n")
+    written = [str(jpath), str(tpath)]
     if cfg["output"]["format"] == "csv":
         for stem, art in result["_csv"].items():
             p = out / f"{stem}.csv"
@@ -417,12 +385,13 @@ def build_parser():
     ap.add_argument("--seed", type=int, default=None)
     # None when absent, so a config file's "sequential": true stands
     ap.add_argument("--sequential", action="store_true", default=None,
-                    help="force bit-reproducible sequential evaluation")
+                    help="accepted and ignored: every report is deterministic")
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    made = []  # the output directories this call created
     try:
         if args.weight is not None:
             w = args.weight
@@ -437,6 +406,13 @@ def main(argv=None) -> int:
                     node = node.setdefault(part, {})
                 node[leaf] = value
         cfg = load_config(args.config, overrides)
+        out = Path(cfg["output"]["dir"])
+        missing = [p for p in (out, *out.parents) if not p.exists()]
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"cannot create output directory: {e}") from e
+        made = missing
         result = run(cfg, args.subcommand)
     except json.JSONDecodeError as e:
         # load_config reports its own file's parse errors as ConfigError
@@ -444,7 +420,9 @@ def main(argv=None) -> int:
         return 2
     except (ConfigError, DynamicRangeError, SamplingError) as e:
         # weight factors or closed forms out of the float range make the
-        # configuration unusable
+        # configuration unusable; it leaves no output directory behind
+        for p in made:
+            p.rmdir()
         print(f"config error: {e}", file=sys.stderr)
         return 2
     emit_report(result, cfg)

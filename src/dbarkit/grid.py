@@ -118,11 +118,19 @@ def build_grid(radius: float, n: int) -> Grid:
     return Grid(float(radius), int(n))
 
 
-def sample(fn, grid: Grid) -> Field:
-    """Evaluate a closed form at every node; the field shares its array (a scalar is spread)."""
-    # complex here: a real array left for Field to convert raised `all`'s peak RSS 126 -> 135 MB
-    vals = np.asarray(fn(grid.nodes), dtype=complex)
-    return Field(grid, np.broadcast_to(vals, (grid.n, grid.n)))
+def sample(fn, grid: Grid, inside=None) -> Field:
+    """The node-by-node closed form ``fn`` where ``inside(rows)`` holds (at
+    every node without it), 0 elsewhere, one ``_line_blocks`` row block at a
+    time; a scalar is spread.  At n = 1024 the dense Gaussian peaks at 17.5 MiB
+    (tracemalloc; the field is 16 MiB) against 32.0 MiB from full-grid nodes."""
+    x = grid.axis
+    out = np.zeros((grid.n, grid.n), dtype=complex)
+    for r in _line_blocks(0, grid.n, grid.n):
+        z = np.empty((r.stop - r.start, grid.n), dtype=complex)  # as Grid.nodes builds it
+        z.real, z.imag = x[r, None], x
+        m = ... if inside is None else inside(r)
+        out[r][m] = fn(z[m])
+    return Field(grid, out)
 
 
 def weighted_norm_sq(v: Field, w) -> float:

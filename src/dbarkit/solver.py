@@ -29,8 +29,8 @@ integrals agree with their plane counterparts for compliant data.
 
 The Fock projection runs on blocks of whole grid rows sized to stay in a
 core's L2 cache, spread over the usable CPUs in threads; its partial sums are
-added in block order, so its result does not depend on the CPU count and
-``--sequential`` reports stay byte-identical.  One projection at n = 1024
+added in block order, so its result, and every report, does not depend on
+the CPU count.  One projection at n = 1024
 takes about 0.35 s on 2 vCPUs, against 1.4 s over full-grid arrays.
 """
 

@@ -1,6 +1,7 @@
 import importlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -197,10 +198,23 @@ def _strict_json(path):
     return json.loads(path.read_text(), parse_constant=reject)
 
 
+def _keys(node):
+    """Every dict key anywhere in the JSON value ``node``."""
+    if isinstance(node, dict):
+        return set(node) | {k for v in node.values() for k in _keys(v)}
+    if isinstance(node, list):
+        return {k for v in node for k in _keys(v)}
+    return set()
+
+
 def test_reports_are_strict_json(tmp_path):
     assert main(["all", "--sequential", "--out", str(tmp_path / "all")]) == 0
     rep = _strict_json(tmp_path / "all" / "all.json")
     assert rep["overall"] is True
+    assert "runtime_ms" not in _keys(rep)
+    timings = _strict_json(tmp_path / "all" / "all.timings.json")
+    assert list(timings) == ["runtime_ms"] and len(timings["runtime_ms"]) == 9
+    assert all(math.isfinite(ms) and ms >= 0 for ms in timings["runtime_ms"].values())
     rc = main(["curvature", "--grid-n", "64", "--weight", "quartic",
                "--out", str(tmp_path / "q")])
     assert rc == 1
@@ -337,8 +351,7 @@ def test_run_curvature_structure():
     names = [c["name"] for c in result["checks"]]
     assert names == ["curvature-margin"]
     for c in result["checks"]:
-        for key in ("passes", "measured", "bound", "tolerance", "runtime_ms"):
-            assert key in c
+        assert set(c) == {"name", "passes", "measured", "bound", "tolerance", "informational"}
 
 
 def test_run_curvature_fails_for_degenerate_weight():
@@ -396,19 +409,34 @@ def test_config_file_sequential_stands_without_flag(tmp_path):
     assert main(argv) == 0
     rep = json.loads((tmp_path / "r" / "curvature.json").read_text())
     assert rep["config"]["sequential"] is True
-    assert [c["runtime_ms"] for c in rep["checks"]] == [0.0]
+    timings = json.loads((tmp_path / "r" / "curvature.timings.json").read_text())
+    assert list(timings["runtime_ms"]) == ["curvature"]
 
 
 def test_sequential_reports_are_byte_identical(tmp_path):
-    argv = [
-        "uniqueness-probe", "--grid-n", "64", "--sequential",
-        "--out", str(tmp_path / "r"),
-    ]
-    assert main(argv) == 0
-    first = (tmp_path / "r" / "uniqueness-probe.json").read_bytes()
-    assert main(argv) == 0
-    second = (tmp_path / "r" / "uniqueness-probe.json").read_bytes()
-    assert first == second
+    # with the flag or without it: the flag changes only its echo in the config
+    argv = ["uniqueness-probe", "--grid-n", "64", "--out", str(tmp_path / "r")]
+    path = tmp_path / "r" / "uniqueness-probe.json"
+    reports = []
+    for flags in (["--sequential"], ["--sequential"], [], []):
+        assert main(argv + flags) == 0
+        reports.append(path.read_bytes())
+    assert reports[0] == reports[1] and reports[2] == reports[3]
+    assert reports[0] == reports[2].replace(b'"sequential": false', b'"sequential": true')
+
+
+@pytest.mark.parametrize("make_out", [lambda tmp: tmp / "f" / "sub", lambda tmp: tmp / "f"],
+                         ids=["under-a-file", "a-file"])
+def test_bad_output_dir_exits_2_before_any_pipeline(tmp_path, capsys, monkeypatch, make_out):
+    cli = importlib.import_module("dbarkit.cli")
+    monkeypatch.setitem(cli.PIPELINES, "curvature", lambda cfg, memo: pytest.fail("ran"))
+    (tmp_path / "f").write_text("")
+    assert main(["curvature", "--grid-n", "8", "--out", str(make_out(tmp_path))]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in err
+    assert lines[0].startswith("config error: cannot create output directory: ")
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -15,7 +15,6 @@ ROOT = Path(__file__).resolve().parents[1]
     [
         ["convergence_study.py", "--sizes", "32", "64", "--suite", "1"],
         ["bargmann_sweep.py", "--help"],
-        ["run_all_checks.py", "--help"],
     ],
 )
 def test_script_exits_zero(argv):
