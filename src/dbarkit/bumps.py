@@ -120,22 +120,22 @@ class BumpPoly:
         return self._sample_on_support(self.dz, grid)
 
 
-def random_suite(count: int, seed: int, max_center: float = 0.9,
-                 rho_range=(1.8, 2.6), degree: int = 4) -> list[BumpPoly]:
-    """Seeded suite of bump-times-polynomial test functions.
+# MAX_CENTER and RHO_RANGE keep every suite member well inside the default R = 6 square
+MAX_CENTER = 0.9
+RHO_RANGE = (1.8, 2.6)
+POLY_DEGREE = 4
 
-    Centers stay within ``max_center`` of the origin and radii within
-    ``rho_range`` so every member is supported well inside the default
-    R = 6 square.
-    """
+
+def random_suite(count: int, seed: int) -> list[BumpPoly]:
+    """Seeded suite of bump-times-polynomial test functions."""
     rng = np.random.default_rng(seed)
     suite = []
     for _ in range(count):
-        c = max_center * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
-        rho = rng.uniform(*rho_range)
+        c = MAX_CENTER * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
+        rho = rng.uniform(*RHO_RANGE)
         coeffs = {}
-        for a in range(degree + 1):
-            for b in range(degree + 1 - a):
+        for a in range(POLY_DEGREE + 1):
+            for b in range(POLY_DEGREE + 1 - a):
                 r = np.sqrt(rng.uniform())
                 th = rng.uniform(0.0, 2.0 * np.pi)
                 coeffs[(a, b)] = r * np.exp(1j * th)

@@ -29,13 +29,13 @@ from pathlib import Path
 import numpy as np
 
 from . import identity, solver
-from .moments import bargmann_probe, diagonal_restriction
+from .moments import MATCH_TOL, MOMENT_J, bargmann_probe, diagonal_restriction
 from .moments import moments as compute_moments
 from .bumps import random_suite
 from .errors import (ConfigError, DynamicRangeError, InvalidArgumentError, SamplingError,
                      WeightInvariantViolationError)
 from .grid import Field, build_grid, sample, write_field_csv
-from .weights import curvature_margin, custom_weight, fock_weight
+from .weights import MARGIN_TOL, curvature_margin, custom_weight, fock_weight
 
 DEFAULT_CONFIG = {
     "grid": {"radius": 6.0, "n": 256},
@@ -115,6 +115,9 @@ def load_config(path=None, overrides=None) -> dict:
     for key, val in positive.items():
         if not (math.isfinite(val) and val > 0):
             raise ConfigError(f"{key} must be a finite positive number, got {val!r}")
+    h = 2.0 * cfg["grid"]["radius"] / cfg["grid"]["n"]
+    if not sys.float_info.min <= h * h <= sys.float_info.max:
+        raise ConfigError(f"grid.radius: cell area (2R/n)^2 = {h * h!r} is not a normal float")
     try:
         custom_weight(cfg["weight"])
     except (ValueError, TypeError) as e:
@@ -137,6 +140,10 @@ def _check(name, passes, measured, bound, tolerance, informational=False):
         "tolerance": float(tolerance),
         "informational": bool(informational),
     }
+
+
+def _undefined(name, measured, reason):  # the details saying why a check has no number
+    return {"undefined": {name: reason}} if measured is None else {}
 
 
 def _details(rep, **extra):
@@ -214,40 +221,41 @@ def pipe_sharpness(cfg, memo):
     grid = _grid(cfg)
     f = sample(lambda z: -z * np.exp(-np.abs(z) ** 2), grid)
     rep = solver.solve_dbar(f, fock_weight(1.0), slack=cfg["tolerances"]["bound_slack"])
-    ratio = rep.h2_lhs / rep.h2_rhs
+    ratio = rep.h2_lhs / rep.h2_rhs if rep.h2_rhs else None
     checks = [
         _check("sharpness-lhs-pi", abs(rep.h2_lhs - pi) < 1e-6, rep.h2_lhs, pi, 1e-6),
         _check("sharpness-rhs-pi", abs(rep.h2_rhs - pi) < 1e-6, rep.h2_rhs, pi, 1e-6),
-        _check("sharpness-ratio-one", abs(ratio - 1.0) < 1e-6, ratio, 1.0, 1e-6),
+        _check("sharpness-ratio-one", ratio is not None and abs(ratio - 1) < 1e-6, ratio, 1, 1e-6),
     ]
-    return checks, {"solution_report": _details(rep, method="spectral")}
+    return checks, {"solution_report": _details(rep, method="spectral"),
+                    **_undefined("sharpness-ratio-one", ratio, "h2_rhs is 0")}
 
 
 def pipe_moments(cfg, memo):
     grid = _grid(cfg, MOMENT_GRID_N)
     f = memo["compliant", grid]
     tol = cfg["tolerances"]["moment_abs"]
-    mv = memo["compliant", grid, 10]
-    h = grid.spacing
-    l1 = float(h * h * np.sum(np.abs(f.values)))
-    worst = float(np.max(np.abs(mv.m))) / l1
+    mv = memo["compliant", grid, MOMENT_J]
+    l1 = float(grid.spacing * grid.spacing * np.sum(np.abs(f.values)))
+    worst = float(np.max(np.abs(mv.m))) / l1 if l1 else None
     # m_0 does not depend on J: it is the plain sum of the datum
-    m0 = memo["gaussian", grid, 10].m[0]
+    m0 = memo["gaussian", grid, MOMENT_J].m[0]
     return [
-        _check("moments-compliant", worst < tol, worst, tol, tol),
+        _check("moments-compliant", worst is not None and worst < tol, worst, tol, tol),
         _check("moments-gaussian-m0-pi", abs(m0 - pi) < 1e-8, abs(m0), pi, 1e-8,
                informational=True),
     ], {
         "moments": {"J": mv.J, "m_re": mv.m.real.tolist(), "m_im": mv.m.imag.tolist()},
         "gaussian_m0": {"re": float(m0.real), "im": float(m0.imag)},
+        **_undefined("moments-compliant", worst, "the datum's L1 norm is 0"),
     }
 
 
 def pipe_diagonal(cfg, memo):
     grid = _grid(cfg, MOMENT_GRID_N)
-    ds = diagonal_restriction(memo["compliant", grid], mv=memo["compliant", grid, 10])
+    ds = diagonal_restriction(memo["compliant", grid], memo["compliant", grid, MOMENT_J])
     worst = float(np.max(np.abs(ds.values)))
-    dg = diagonal_restriction(memo["gaussian", grid], mv=memo["gaussian", grid, 10])
+    dg = diagonal_restriction(memo["gaussian", grid], memo["gaussian", grid, MOMENT_J])
     dev = float(np.max(np.abs(dg.values - pi)))
     return [
         _check("diagonal-compliant-vanishes", worst < 1e-7, worst, 1e-7, 1e-7),
@@ -264,7 +272,8 @@ def pipe_bargmann(cfg, memo):
         readings.add(rep.matching_reading)
         ok = rep.matching_reading in ("literal", "quadratic")
         checks.append(_check(f"bargmann-unique-reading-a={a:g}", ok,
-                             min(rep.rel_err_literal, rep.rel_err_quadratic), 1e-4, 1e-4))
+                             min(rep.rel_err_literal, rep.rel_err_quadratic),
+                             MATCH_TOL, MATCH_TOL))
     checks.append(_check("bargmann-consistent-reading", len(readings) == 1,
                          float(len(readings)), 1.0, 0.0))
     return checks, {"probes": reports, "matching_reading": sorted(readings)}
@@ -275,18 +284,15 @@ def pipe_curvature(cfg, memo):
     try:
         rep = curvature_margin(custom_weight(cfg["weight"]), grid)
     except WeightInvariantViolationError as e:
-        return [_check("curvature-margin", False, None, 0.0, 1e-9)], {
+        return [_check("curvature-margin", False, None, 0.0, MARGIN_TOL)], {
             "error": "weight-invariant-violation", "detail": str(e)}
-    checks = [_check("curvature-margin", rep.passes, rep.min_margin, -1e-9, 1e-9)]
+    checks = [_check("curvature-margin", rep.passes, rep.min_margin, -MARGIN_TOL, MARGIN_TOL)]
     return checks, {"curvature_report": _details(rep)}
 
 
 def pipe_uniqueness(cfg, memo):
-    grid = _grid(cfg)
-    w = fock_weight(1.0)
-    probes = solver.uniqueness_probe(grid, w, range(4), radii=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     checks, tables = [], {}
-    for table in probes:
+    for table in solver.uniqueness_probe(_grid(cfg), fock_weight(1.0)):
         p = table["p"]
         tables[f"p={p}"] = table
         ratio = table["growth_ratio"]

@@ -32,10 +32,9 @@ def _dbar_symbol(k: np.ndarray, rows: slice) -> np.ndarray:
     return 0.5 * (1j * k[rows, None] - k[None, :])
 
 
-def _fft2(rows, shape, inverse=False, height=None, columns=None, out=None) -> np.ndarray:
+def _fft2(rows, shape, inverse=False, columns=None, out=None) -> np.ndarray:
     """``np.fft.fft2`` (``ifft2`` if ``inverse``) to the bit, of the array of
-    ``shape`` whose rows below ``height`` (default all) are ``rows(r)`` for a
-    slice ``r``, zero-padded on the right, and whose other rows are zero.
+    ``shape`` whose rows ``r`` (a slice) are ``rows(r)``, zero-padded on the right.
 
     numpy's order, each block one 1-D transform written in place into ``out``
     (a new array by default): axis 1 over blocks of whole rows, then axis 0
@@ -47,9 +46,7 @@ def _fft2(rows, shape, inverse=False, height=None, columns=None, out=None) -> np
     ``rows`` runs in the worker threads and may write into its rows of ``out``.
     """
     m0, m1 = shape
-    height = m0 if height is None else height
     out = np.empty(shape, dtype=complex) if out is None else out
-    out[height:] = 0.0
     fft = np.fft.ifft if inverse else np.fft.fft
     cols = range(m1)[columns] if columns else range(m1)
 
@@ -59,7 +56,7 @@ def _fft2(rows, shape, inverse=False, height=None, columns=None, out=None) -> np
     def column_pass(c):
         fft(out[:, c], axis=0, out=out[:, c])
 
-    _map_blocks(row_pass, _line_blocks(0, height, m1))
+    _map_blocks(row_pass, _line_blocks(0, m0, m1))
     _map_blocks(column_pass, _line_blocks(cols.start, cols.stop, m0))
     return out
 

@@ -37,6 +37,8 @@ CSV_CHUNK_ROWS = 1 << 13
 # columns of at most this many nodes: a block's complex arrays (0.5 MB each)
 # then stay in a 2 MB L2 cache
 BLOCK_NODES = 1 << 15
+# the truncation warnings read the ring of the outer ceil(RING_FRAC n) rows and columns
+RING_FRAC = 0.05
 
 
 @dataclass(frozen=True)
@@ -145,26 +147,25 @@ def weighted_norm_sq(v: Field, w) -> float:
     return float(h * h * np.sum((v.values.real**2 + v.values.imag**2) * wr))
 
 
-def boundary_mass(v: Field, frac: float = 0.05) -> float:
-    """Relative sup of |v| on the outermost ``frac`` ring of the square, or 0
-    where v is all zero."""
+def boundary_mass(v: Field) -> float:
+    """Relative sup of |v| on the ``RING_FRAC`` boundary ring of the square,
+    or 0 where v is all zero."""
     mag = np.abs(v.values)
     peak = np.max(mag, initial=0.0)
-    return float(np.max(mag[_ring_mask(v.grid.n, frac)]) / peak) if peak else 0.0
+    return float(np.max(mag[_ring_mask(v.grid.n)]) / peak) if peak else 0.0
 
 
-def _ring_mask(n: int, frac: float = 0.05) -> np.ndarray:
-    """Boolean n x n mask of the outermost ``frac`` ring of the square."""
-    band = max(1, int(np.ceil(frac * n)))
+def _ring_mask(n: int) -> np.ndarray:
+    """Boolean n x n mask of the ``RING_FRAC`` boundary ring of the square."""
+    band = max(1, int(np.ceil(RING_FRAC * n)))
     mask = np.ones((n, n), dtype=bool)
     mask[band:-band, band:-band] = False
     return mask
 
 
-def warn_boundary_mass(v, threshold: float = 1e-14, context: str = "field"):
-    """Warn when the relative boundary mass of ``v`` (a Field, or that mass
-    already computed) exceeds ``threshold``; return the mass."""
-    m = boundary_mass(v) if isinstance(v, Field) else v
+def warn_boundary_mass(m: float, threshold: float = 1e-14, context: str = "field"):
+    """Warn when the relative boundary mass ``m`` (``boundary_mass``, or a
+    caller's own reading of its ring) exceeds ``threshold``; return ``m``."""
     if m > threshold:
         warnings.warn(
             f"{context}: relative boundary mass {m:.3e} exceeds {threshold:.1e}",

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import diffops
 from .errors import DynamicRangeError, SamplingError
-from .grid import Field, _line_blocks, _map_blocks, warn_boundary_mass
+from .grid import Field, _line_blocks, _map_blocks, boundary_mass, warn_boundary_mass
 from .weights import Weight
 
 REL_ERR_FLOOR = 1e-30
@@ -56,7 +56,7 @@ def verify_norm_identity(v: Field, w: Weight, rel_tol: float = 1e-6) -> Identity
     node in row-major order.  The right side is a plain integral, so
     laplacian_hat(phi) need not be positive.
     """
-    warn_boundary_mass(v, context="norm-identity test field")
+    warn_boundary_mass(boundary_mass(v), context="norm-identity test field")
     dv, delv = diffops.dbar_and_del(v)
     trivial = w.is_trivial()
     g = v.grid

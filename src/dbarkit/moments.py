@@ -21,6 +21,10 @@ from .errors import DynamicRangeError, InvalidArgumentError, TruncationMassWarni
 from .grid import BLOCK_NODES, FLOAT_FMT, Field, _ring_mask, warn_boundary_mass
 
 IM_EXPONENT_CAP = 30.0
+# the moments m_0..m_J that the solver and the moment checks take
+MOMENT_J = 10
+# a reading of the Bargmann display matches when its relative error is below this
+MATCH_TOL = 1e-4
 # the largest x-node by xi-node count bargmann_probe admits (the fixed
 # 3000 x 480 rule it replaced)
 MAX_PROBE_NODES = 3000 * 480
@@ -147,14 +151,11 @@ def default_diagonal_samples() -> np.ndarray:
     return np.concatenate([line, ring])
 
 
-def diagonal_restriction(f: Field, xi_samples=None, J: int = 10,
-                         mv: MomentVector | None = None) -> DiagonalSeries:
-    """fhat(xi, i*xi) by quadrature, against the truncated moment series
-    (of ``mv``, ``moments(f, J)`` already taken, when given)."""
-    if xi_samples is None:
-        xi_samples = default_diagonal_samples()
-    xi_samples = np.asarray(xi_samples, dtype=complex)
-    mv = moments(f, J) if mv is None else mv
+def diagonal_restriction(f: Field, mv: MomentVector, xi_samples=None) -> DiagonalSeries:
+    """fhat(xi, i*xi) by quadrature, against the moment series truncated
+    at ``mv``, the moments of ``f``."""
+    xi_samples = np.asarray(default_diagonal_samples() if xi_samples is None else xi_samples,
+                            dtype=complex)
     values = _fourier2_samples(f, xi_samples, 1j * xi_samples)
     series = polyval(-1j * xi_samples, mv.m / [factorial(j) for j in range(mv.J + 1)])
     return DiagonalSeries(xi_samples, values, series)
@@ -199,8 +200,7 @@ def _probe_rules(beta: float, a: float):
     return _midpoint(Lx, nx), _midpoint(Ls, nxi), _midpoint(Lt, nxi)
 
 
-def bargmann_probe(beta: float, a: float, amplitude: float = 1.0,
-                   match_tol: float = 1e-4) -> BargmannProbeReport:
+def bargmann_probe(beta: float, a: float, amplitude: float = 1.0) -> BargmannProbeReport:
     """Test the Gaussian-weighted Plancherel display on f(x) = A e^{-a x^2}.
 
     The left side is the plane integral of |fhat|^2 e^{-beta (Im xi)^2} with
@@ -208,7 +208,7 @@ def bargmann_probe(beta: float, a: float, amplitude: float = 1.0,
     is evaluated under two readings of the weighted line integral -- with
     |f| to the first power, and with |f|^2 -- each carrying the constant
     2 pi^{3/2} / sqrt(beta).  All three numbers are reported together with
-    which reading (if any) matches the left side.
+    which reading (if any) matches the left side to within ``MATCH_TOL``.
 
     Every integrand is a Gaussian, for which the midpoint rule converges
     geometrically, so the rule sizes follow from the decay rates with the
@@ -257,8 +257,8 @@ def bargmann_probe(beta: float, a: float, amplitude: float = 1.0,
                           * np.sum(np.exp(-(2.0 * a - 1.0 / beta) * x2)))
     rel_lit = abs(lhs - rhs_literal) / abs(lhs)
     rel_quad = abs(lhs - rhs_quadratic) / abs(lhs)
-    lit_ok = rel_lit < match_tol
-    quad_ok = rel_quad < match_tol
+    lit_ok = rel_lit < MATCH_TOL
+    quad_ok = rel_quad < MATCH_TOL
     reading = ("both" if lit_ok and quad_ok else
                "literal" if lit_ok else
                "quadratic" if quad_ok else "none")

@@ -14,24 +14,18 @@ symmetric about the target), evaluated as an FFT convolution on a 2n x 2n
 pad.  Error and residual are of order 2.0: for the seed-42 bump at R = 6 the
 sup error is 8.8e-2, 2.2e-2, 5.4e-3, 1.4e-3 at n = 128, 256, 512, 1024.
 The convolution runs on ``diffops._fft2``'s threaded row and column blocks
-and skips the work whose result is known or dropped (the datum's zero pad
-rows, the inverse's discarded columns); its bits are those of whole-array
-``fft2``/``ifft2``.  The datum is padded to 2n rows one block of columns
-at a time, in a scratch buffer whose transform goes straight into the
-kernel's spectrum, so at n = 1024 the spectra take 96 MB, not the 128 MB
-of two full pads.  One transform at n = 1024 takes 0.26-0.29 s on
-2 vCPUs, against 0.30-0.33 s with two full pads and 0.86 s with the
+and skips the work whose result is known or dropped; its bits are those of
+whole-array ``fft2``/``ifft2``.  One transform at n = 1024 takes 0.26-0.29 s
+on 2 vCPUs, against 0.30-0.33 s with two full pads and 0.86 s with the
 whole-array transforms.
 
 The growing-weight bound (constant 1/2) and the classical bound via the
 Fock-space projection are evaluated on the datum's support disk, where both
 integrals agree with their plane counterparts for compliant data.
 
-The Fock projection runs on blocks of whole grid rows sized to stay in a
-core's L2 cache, spread over the usable CPUs in threads; its partial sums are
-added in block order, so its result, and every report, does not depend on
-the CPU count.  One projection at n = 1024
-takes about 0.35 s on 2 vCPUs, against 1.4 s over full-grid arrays.
+The Fock projection's result, and every report, does not depend on the CPU
+count.  One projection at n = 1024 takes about 0.35 s on 2 vCPUs, against
+1.4 s over full-grid arrays.
 """
 
 from __future__ import annotations
@@ -44,12 +38,17 @@ import numpy as np
 from . import diffops
 from .errors import DynamicRangeError, InvalidArgumentError
 from .grid import Field, Grid, _line_blocks, _map_blocks, weighted_norm_sq
-from .moments import _monomial_sums, moments
+from .moments import MOMENT_J, _monomial_sums, moments
 from .weights import EXP_CAP, Weight, curvature_margin
 
+# a node holds significant mass when |f| there exceeds this fraction of its peak
 SUPPORT_FLOOR = 1e-13
 # normalized moments above this flag the datum as non-orthogonal
 MOMENT_REL_TOL = 1e-4
+FOCK_TERMS = 120  # the Fock projection's series runs over k = 0..FOCK_TERMS
+# uniqueness_probe tabulates z^p for these p over the disks |z| < r of these r
+UNIQUENESS_DEGREES = (0, 1, 2, 3)
+UNIQUENESS_RADII = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
 
 
 @dataclass(frozen=True)
@@ -74,14 +73,14 @@ class BoundReport:
     projection_idempotence_err: float
 
 
-def support_radius(f: Field, floor: float = SUPPORT_FLOOR) -> float:
+def support_radius(f: Field) -> float:
     """Radius of the smallest origin-centered disk holding all significant mass."""
     a = np.abs(f.values)
     peak = float(np.max(a))
     if peak == 0.0:
         return 0.0
     r = np.abs(f.grid.nodes)
-    sig = a > floor * peak
+    sig = a > SUPPORT_FLOOR * peak
     return float(np.max(r[sig]))
 
 
@@ -103,17 +102,18 @@ def cauchy_transform(f: Field) -> Field:
     """
     n, h = f.grid.n, f.grid.spacing
     shape = (2 * n, 2 * n)
-    j = np.arange(1 - n, n, dtype=float)
+    j = np.arange(1 - n, n + 1, dtype=float)  # the offsets, then n for the pad row
 
-    def kernel(r):  # offset rows r; the zero offset's entry is 0
-        K = j[r, None] + 1j * j[None, :]
+    def kernel(r):  # offset rows r; the zero offset's entry and the pad row are 0
+        K = j[r, None] + 1j * j[None, :-1]
         centre = j[r] == 0.0
         K[centre, n - 1] = 1.0
         np.divide(h / pi, K, out=K)
         K[centre, n - 1] = 0.0
+        K[j[r] == n] = 0.0
         return K
 
-    K = diffops._fft2(kernel, shape, height=2 * n - 1)
+    K = diffops._fft2(kernel, shape)
     F = diffops._fft2(lambda r: f.values[r], (n, 2 * n), columns=slice(0))  # rows only
 
     def column_product(c):  # K *= fft2 of the padded datum, on columns c
@@ -152,7 +152,7 @@ def dbar_invert_spectral(f: Field) -> Field:
     return Field(g, u)
 
 
-def solve_dbar(f: Field, w: Weight, J: int = 10, slack: float = 0.01) -> SolutionReport:
+def solve_dbar(f: Field, w: Weight, slack: float = 0.01) -> SolutionReport:
     """Solve dbar u = f and evaluate the growing-weight bound with constant 1/2.
 
     The bound integrals run over the datum's support disk (plus a 2h margin);
@@ -169,12 +169,12 @@ def solve_dbar(f: Field, w: Weight, J: int = 10, slack: float = 0.01) -> Solutio
     res = diffops.dbar(u, "spectral") - f
     residual_inf = diffops.interior_max(res, extra_band=2)
 
-    mv = moments(f, J)
+    mv = moments(f, MOMENT_J)
     moment_max = float(np.max(np.abs(mv.m)))
     r_sup = support_radius(f)
     h = g.spacing
     l1 = float(h * h * np.sum(np.abs(f.values)))
-    scale = np.array([max(1.0, r_sup) ** j for j in range(J + 1)])
+    scale = np.array([max(1.0, r_sup) ** j for j in range(MOMENT_J + 1)])
     moment_rel_max = float(np.max(np.abs(mv.m) / (scale * max(l1, 1e-300))))
     flagged = moment_rel_max > MOMENT_REL_TOL
 
@@ -205,13 +205,14 @@ def solve_dbar(f: Field, w: Weight, J: int = 10, slack: float = 0.01) -> Solutio
     )
 
 
-def fock_bergman_project(u: Field, terms: int = 120) -> Field:
+def fock_bergman_project(u: Field) -> Field:
     """Projection onto entire functions in the e^{-|z|^2}-weighted L^2 space.
 
     Uses the reproducing kernel e^{z conj(w)}/pi expanded in the orthonormal
     monomials z^k / sqrt(pi k!); the expansion converges superexponentially
     past k ~ (support radius)^2 for data concentrated inside the grid.  The
-    series sum_k <u, z^k> z^k / (pi k!) is summed by Horner's rule.
+    series sum_k <u, z^k> z^k / (pi k!), k = 0..FOCK_TERMS, is summed by
+    Horner's rule.
 
     Both passes run on blocks of whole grid rows of at most
     ``grid.BLOCK_NODES`` nodes (fixed by n alone), each building its nodes and
@@ -221,7 +222,7 @@ def fock_bergman_project(u: Field, terms: int = 120) -> Field:
     two runs the Horner loop on each block's rows of the output.
     """
     g = u.grid
-    if 2.0 * g.radius**2 > EXP_CAP:
+    if g.radius > sqrt(EXP_CAP / 2.0):  # e^{2 R^2}; R^2 itself may overflow
         raise DynamicRangeError("fock_bergman_project: kernel exponent exceeds dynamic range")
     n, h, x = g.n, g.spacing, g.axis
     iy = 1j * x
@@ -232,10 +233,10 @@ def fock_bergman_project(u: Field, terms: int = 120) -> Field:
         gauss = np.exp(-(x[r, None] ** 2 + x[None, :] ** 2))
         zc = x[r, None] + iy
         np.conjugate(zc, out=zc)
-        return _monomial_sums(zc, vals[r] * gauss, terms, h)
+        return _monomial_sums(zc, vals[r] * gauss, FOCK_TERMS, h)
 
     sums = np.sum(_map_blocks(coefficients, blocks), axis=0)
-    c = sums * [exp(-lgamma(k + 1)) / pi for k in range(terms + 1)]
+    c = sums * [exp(-lgamma(k + 1)) / pi for k in range(FOCK_TERMS + 1)]
     out = np.empty((n, n), dtype=complex)
 
     def horner(r):
@@ -269,34 +270,26 @@ def check_hormander_bound(f: Field, w: Weight, slack: float = 0.01) -> BoundRepo
     return BoundReport(h1_lhs, h1_rhs, h1_lhs <= h1_rhs * (1.0 + slack), idem)
 
 
-def uniqueness_probe(g: Grid, w: Weight, p, radii=None,
-                     amplitude: float = 1.0):
-    """Growth table for amplitude * z^p, the difference of two solutions on ``g``.
+def uniqueness_probe(g: Grid, w: Weight) -> list[dict]:
+    """Growth tables of z^p, p in ``UNIQUENESS_DEGREES``, on ``g``.
 
-    Two solutions of dbar u = f differ by an entire function; this tabulates
-    the partial weighted energies of amplitude * z^p over growing disks.
-    Under the curvature condition these must blow up, which is why no
-    second decaying solution can exist.  ``p`` is a degree 0..3, or a
-    sequence of them for a list of tables that share the per-grid work (the
-    curvature check, the weight density and the disk masks).
+    Two solutions of dbar u = f differ by an entire function; each table
+    holds the partial weighted energies of z^p over the disks of
+    ``UNIQUENESS_RADII``.  Under the curvature condition these must blow up,
+    which is why no second decaying solution can exist.  A multiple c z^p
+    scales every energy by |c|^2 and leaves the growth ratio as it is.  The
+    degrees share the per-grid work: the curvature check, the weight density
+    and the disk masks.
     """
-    single = np.ndim(p) == 0
-    degrees = [p] if single else list(p)
-    if not all(0 <= d <= 3 for d in degrees):
-        raise InvalidArgumentError("polynomial degree p must be in 0..3")
-    if radii is None:
-        radii = [1.0 + 0.5 * i for i in range(int((g.radius - 1.0) / 0.5) + 1)]
-    cm = curvature_margin(w, g)
-    if not cm.passes:
+    if not curvature_margin(w, g).passes:
         raise InvalidArgumentError("uniqueness probe requires a weight passing the curvature condition")
-    Z = g.nodes
-    h = g.spacing
+    Z, h = g.nodes, g.spacing
     density = w.exp_phi(Z, 2.0) * w.sample_lap_hat(g)
     r = np.abs(Z)
-    disks = [r < rr for rr in radii]
+    disks = [r < rr for rr in UNIQUENESS_RADII]
     tables = []
-    for d in degrees:
-        dens = (amplitude ** 2) * np.abs(Z ** d) ** 2 * density
+    for d in UNIQUENESS_DEGREES:
+        dens = np.abs(Z ** d) ** 2 * density
         energies = [float(h * h * np.sum(dens[disk])) for disk in disks]
         first, last = energies[0], energies[-1]
         # None when the innermost disk holds no node but the outer ones carry
@@ -304,9 +297,9 @@ def uniqueness_probe(g: Grid, w: Weight, p, radii=None,
         ratio = last / first if first > 0 else None if last > 0 else 0.0
         tables.append({
             "p": d,
-            "radii": [float(x) for x in radii],
+            "radii": list(UNIQUENESS_RADII),
             "energies": energies,
             "growth_ratio": ratio,
             "monotone": all(b >= a for a, b in zip(energies, energies[1:])),
         })
-    return tables[0] if single else tables
+    return tables

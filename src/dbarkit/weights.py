@@ -27,6 +27,8 @@ from .grid import Field, Grid, sample
 # largest exponent admitted in a weight factor e^{k phi}; e^x overflows
 # float64 just above x = 709.78
 EXP_CAP = 700.0
+# a curvature margin passes from -MARGIN_TOL up, allowing rounding below 0
+MARGIN_TOL = 1e-9
 # each catalog entry's parameter keys and defaults; custom_weight rejects any other key
 CATALOG_PARAMS = {"fock": {"t": 1.0}, "fock-harmonic": {"t": 1.0, "b": 0.125},
                   "cosh-x": {}, "quartic": {}, "zero": {}}
@@ -182,11 +184,11 @@ def custom_weight(spec: dict) -> Weight:
     )
 
 
-def curvature_margin(w: Weight, grid: Grid, tolerance: float = 1e-9) -> CurvatureReport:
+def curvature_margin(w: Weight, grid: Grid) -> CurvatureReport:
     """The weight's closed-form curvature margin on the grid; InvalidArgumentError if none."""
     w.validate_on(grid)
     if w.margin_fn is None:
         raise InvalidArgumentError(f"weight {w.name!r} has no closed-form curvature margin")
     mf = w._sample(w.margin_fn, "curvature margin", grid)
     mn = float(np.min(mf.values.real))
-    return CurvatureReport(mf, mn, mn >= -tolerance)
+    return CurvatureReport(mf, mn, mn >= -MARGIN_TOL)

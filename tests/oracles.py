@@ -27,8 +27,9 @@ import numpy as np
 
 from dbarkit import diffops
 from dbarkit.errors import InvalidArgumentError, TruncationMassWarning
-from dbarkit.grid import Field, Grid, _ring_mask, warn_boundary_mass, weighted_norm_sq
-from dbarkit.moments import BargmannProbeReport, MomentVector, _monomial_sums
+from dbarkit.grid import (Field, Grid, _ring_mask, boundary_mass, warn_boundary_mass,
+                          weighted_norm_sq)
+from dbarkit.moments import MATCH_TOL, BargmannProbeReport, MomentVector, _monomial_sums
 
 FD4_BAND = 2
 
@@ -140,7 +141,7 @@ def kernel_check(g, w, grid: Grid) -> float:
     z = grid.nodes
     gz = np.asarray(g(z), dtype=complex) * np.ones((grid.n, grid.n))
     k = Field(grid, w.exp_phi(z, -1.0) * np.conj(gz))
-    warn_boundary_mass(k, context="kernel_check input")
+    warn_boundary_mass(boundary_mass(k), context="kernel_check input")
     return diffops.interior_max(apply_Tstar(k, w), extra_band=2)
 
 
@@ -155,8 +156,7 @@ def fd4_curvature_margin(w, grid: Grid, lap_scale: float = 1.0) -> np.ndarray:
     return margin
 
 
-def bargmann_probe_dense(beta: float, a: float, amplitude: float = 1.0,
-                         match_tol: float = 1e-4) -> BargmannProbeReport:
+def bargmann_probe_dense(beta: float, a: float, amplitude: float = 1.0) -> BargmannProbeReport:
     """``moments.bargmann_probe`` with 3000 x-nodes and 480 nodes per xi axis."""
     if not (beta > 0 and a > 1.0 / beta):
         raise InvalidArgumentError("need beta > 0 and a > 1/beta for convergence")
@@ -191,8 +191,8 @@ def bargmann_probe_dense(beta: float, a: float, amplitude: float = 1.0,
     rhs_quadratic = float(const * hx * np.sum(fx**2 * np.exp(x**2 / beta)))
     rel_lit = abs(lhs - rhs_literal) / abs(lhs)
     rel_quad = abs(lhs - rhs_quadratic) / abs(lhs)
-    lit_ok = rel_lit < match_tol
-    quad_ok = rel_quad < match_tol
+    lit_ok = rel_lit < MATCH_TOL
+    quad_ok = rel_quad < MATCH_TOL
     reading = ("both" if lit_ok and quad_ok else
                "literal" if lit_ok else
                "quadratic" if quad_ok else "none")

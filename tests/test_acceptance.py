@@ -22,7 +22,7 @@ from dbarkit import (
 from dbarkit.bumps import random_suite
 from dbarkit.diffops import dbar, interior_max
 from dbarkit.errors import WeightInvariantViolationError
-from dbarkit.moments import bargmann_probe, diagonal_restriction, moments
+from dbarkit.moments import MOMENT_J, bargmann_probe, diagonal_restriction, moments
 from dbarkit.solver import (
     cauchy_transform,
     check_hormander_bound,
@@ -129,7 +129,7 @@ def test_06_moment_condition(suite):
     worst = 0.0
     for m in suite:
         f = m.sample_dbar(g)
-        mv = moments(f, 10)
+        mv = moments(f, MOMENT_J)
         worst = max(worst, float(np.max(np.abs(mv.m))) / l1_norm(f))
     gauss = sample(lambda z: np.exp(-np.abs(z) ** 2), g)
     m0_dev = abs(moments(gauss, 0).m[0] - np.pi)
@@ -142,10 +142,10 @@ def test_06_moment_condition(suite):
 def test_07_diagonal_dichotomy(suite):
     g = build_grid(R, N_FINE)
     f = suite[0].sample_dbar(g)
-    ds = diagonal_restriction(f)
+    ds = diagonal_restriction(f, moments(f, MOMENT_J))
     compliant_max = float(np.max(np.abs(ds.values)))
     gauss = sample(lambda z: np.exp(-np.abs(z) ** 2), g)
-    dg = diagonal_restriction(gauss)
+    dg = diagonal_restriction(gauss, moments(gauss, MOMENT_J))
     gauss_dev = float(np.max(np.abs(dg.values - np.pi)))
     ok = compliant_max < 1e-7 and gauss_dev < 1e-4
     report("diagonal-dichotomy", ok,
@@ -186,9 +186,10 @@ def test_09_curvature_condition(grid):
 def test_10_uniqueness_growth(grid):
     w = fock_weight(1.0)
     worst = float("inf")
-    radii = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-    for p in range(4):
-        table = uniqueness_probe(grid, w, p, radii=radii)
+    tables = uniqueness_probe(grid, w)
+    assert [t["p"] for t in tables] == [0, 1, 2, 3]
+    for table in tables:
+        assert table["radii"] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
         worst = min(worst, table["growth_ratio"])
         assert table["monotone"]
     ok = worst > 1e3

@@ -13,8 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dbarkit import solver
 from dbarkit.cli import DEFAULT_CONFIG, build_parser, emit_report, load_config, main, run
 from dbarkit.errors import ConfigError
+from dbarkit.moments import MATCH_TOL, MOMENT_J
+from dbarkit.weights import MARGIN_TOL
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -247,6 +250,46 @@ def test_uniqueness_probe_without_inner_node_fails_cleanly(tmp_path):
         assert table["growth_ratio"] is None
 
 
+@pytest.mark.parametrize("argv, rc, undefined", [
+    # the cell area (2R/n)^2 overflows to inf, or underflows to 0
+    (["check-h1", "--grid-n", "8", "--grid-radius", "1e300"], 2, None),
+    (["solve", "--grid-n", "8", "--grid-radius", "1e300", "--weight", "zero"], 2, None),
+    (["sharpness", "--grid-n", "8", "--grid-radius", "1e-300"], 2, None),
+    # no node of the n = 1024 grid lies inside the bump: its L1 norm is 0
+    (["moments", "--grid-n", "16", "--grid-radius", "1e6"], 1, "moments-compliant"),
+    # a normal cell area, but h2_rhs underflows to 0
+    (["sharpness", "--grid-n", "8", "--grid-radius", "1e-150"], 1, "sharpness-ratio-one"),
+])
+# at R = 1e-150 the sharpness datum fills the square, so its moments warn of boundary mass
+@pytest.mark.filterwarnings("ignore::dbarkit.errors.BoundaryMassWarning")
+def test_extreme_radii_end_without_a_traceback(tmp_path, capsys, argv, rc, undefined):
+    """A cell area outside the normal floats is a config error naming
+    grid.radius; a check whose denominator is 0 has no number and fails."""
+    assert main([*argv, "--out", str(tmp_path)]) == rc
+    if rc == 2:
+        assert capsys.readouterr().err.startswith("config error: grid.radius")
+        return
+    rep = _strict_json(tmp_path / f"{argv[0]}.json")
+    assert rep["overall"] is False
+    (check,) = [c for c in rep["checks"] if c["name"] == undefined]
+    assert check["measured"] is None and not check["passes"]
+    assert list(rep["details"][argv[0]]["undefined"]) == [undefined]
+
+
+def test_report_bounds_are_the_library_constants():
+    cfg = load_config(overrides={"grid": {"n": 64}})
+    bargmann = run(cfg, "bargmann-probe")["checks"]
+    readings = [c for c in bargmann if c["name"].startswith("bargmann-unique-reading")]
+    assert len(readings) == 3
+    assert all(c["bound"] == c["tolerance"] == MATCH_TOL for c in readings)
+    (margin,) = run(cfg, "curvature")["checks"]
+    assert (margin["bound"], margin["tolerance"]) == (-MARGIN_TOL, MARGIN_TOL)
+    tables = run(cfg, "uniqueness-probe")["details"]["uniqueness-probe"]["tables"]
+    assert list(tables) == [f"p={p}" for p in solver.UNIQUENESS_DEGREES]
+    assert all(t["radii"] == list(solver.UNIQUENESS_RADII) for t in tables.values())
+    assert run(cfg, "moments")["details"]["moments"]["moments"]["J"] == MOMENT_J
+
+
 def test_report_text_is_the_stdlib_encoding(tmp_path):
     assert main(["solve", "--out", str(tmp_path)]) == 0
     text = (tmp_path / "solve.json").read_text()
@@ -399,7 +442,7 @@ def test_all_takes_each_moment_vector_once(counted_all_run):
     assert len(set(calls)) == len(calls)
     # solve's and sharpness's data at n = 256, the compliant datum and the
     # Gaussian at 1024 (without the memo the last two are taken twice each)
-    assert sorted((n, J) for _, n, J in calls) == [(256, 10)] * 2 + [(1024, 10)] * 2
+    assert sorted((n, J) for _, n, J in calls) == [(256, MOMENT_J)] * 2 + [(1024, MOMENT_J)] * 2
 
 
 def test_config_file_sequential_stands_without_flag(tmp_path):

@@ -11,6 +11,7 @@ from dbarkit.diffops import dbar
 from dbarkit.errors import BoundaryMassWarning, DynamicRangeError, InvalidArgumentError
 from dbarkit.grid import BLOCK_NODES, Field, boundary_mass
 from dbarkit.moments import (
+    MOMENT_J,
     _pairwise_sum,
     _probe_rules,
     bargmann_probe,
@@ -251,7 +252,7 @@ def _fourier2_direct(f, xi, eta):
 @pytest.mark.parametrize("datum", ["compliant", "gaussian"])
 def test_diagonal_matches_per_sample_quadrature(grid_default, member, gaussian_field, datum):
     f = member.sample_dbar(grid_default) if datum == "compliant" else gaussian_field
-    ds = diagonal_restriction(f)
+    ds = diagonal_restriction(f, moments(f, MOMENT_J))
     ref = np.array([_fourier2_direct(f, xi, 1j * xi) for xi in ds.xi_samples])
     assert np.max(np.abs(ds.values - ref)) < 1e-12
     for xi in ds.xi_samples[::8]:
@@ -259,15 +260,16 @@ def test_diagonal_matches_per_sample_quadrature(grid_default, member, gaussian_f
 
 
 def test_diagonal_dynamic_range_guard_covers_every_sample(gaussian_field):
+    mv = moments(gaussian_field, MOMENT_J)
     # at R = 6, xi = 3 + 3i has growth 6 (|Im xi| + |Im i xi|) = 36 > 30
     with pytest.raises(DynamicRangeError, match="growth exponent 36.0 exceeds cap"):
-        diagonal_restriction(gaussian_field, xi_samples=[0.0, 1.0, 3.0 + 3.0j, 0.5j])
+        diagonal_restriction(gaussian_field, mv, xi_samples=[0.0, 1.0, 3.0 + 3.0j, 0.5j])
     # xi = 3i stays under the cap: i xi = -3 is real, so the growth is 18
-    diagonal_restriction(gaussian_field, xi_samples=[3.0j])
+    diagonal_restriction(gaussian_field, mv, xi_samples=[3.0j])
 
 
 def test_diagonal_vanishes_for_compliant_datum(grid_fine, compliant_fine):
-    ds = diagonal_restriction(compliant_fine)
+    ds = diagonal_restriction(compliant_fine, moments(compliant_fine, MOMENT_J))
     h = grid_fine.spacing
     l1 = h * h * np.sum(np.abs(compliant_fine.values))
     assert np.max(np.abs(ds.values)) / l1 < 1e-7
@@ -276,13 +278,13 @@ def test_diagonal_vanishes_for_compliant_datum(grid_fine, compliant_fine):
 
 def test_diagonal_constant_for_gaussian(gaussian_field):
     # fhat(xi, i*xi) = pi e^{-(xi^2 + (i xi)^2)/4} = pi for every xi
-    ds = diagonal_restriction(gaussian_field)
+    ds = diagonal_restriction(gaussian_field, moments(gaussian_field, MOMENT_J))
     assert np.max(np.abs(ds.values - np.pi)) < 1e-6
     assert np.max(np.abs(ds.series_values - np.pi)) < 1e-6
 
 
 def test_diagonal_quadrature_matches_series(grid_fine, compliant_fine):
-    ds = diagonal_restriction(compliant_fine)
+    ds = diagonal_restriction(compliant_fine, moments(compliant_fine, MOMENT_J))
     assert np.max(np.abs(ds.values - ds.series_values)) < 1e-8
 
 
@@ -297,14 +299,16 @@ def _series_loop(xi_samples, m):
 @pytest.mark.parametrize("datum", ["compliant", "gaussian"])
 def test_diagonal_series_matches_term_by_term_sum(grid_default, member, gaussian_field, datum):
     f = member.sample_dbar(grid_default) if datum == "compliant" else gaussian_field
-    ds = diagonal_restriction(f)
-    m = moments(f, 10).m
+    mv = moments(f, MOMENT_J)
+    ds = diagonal_restriction(f, mv)
+    m = mv.m
     ref = _series_loop(ds.xi_samples, m)
     assert np.max(np.abs(ds.series_values - ref)) < 1e-14 * max(1.0, np.max(np.abs(m)))
 
 
 def test_diagonal_csv_layout(gaussian_field):
-    ds = diagonal_restriction(gaussian_field, xi_samples=[0.0, 1.0])
+    ds = diagonal_restriction(gaussian_field, moments(gaussian_field, MOMENT_J),
+                              xi_samples=[0.0, 1.0])
     lines = ds.to_csv().strip().split("\n")
     assert lines[0] == "xi_re,xi_im,fhat_re,fhat_im,series_re,series_im"
     assert len(lines) == 3

@@ -63,7 +63,7 @@ def fock_bergman_project_dense(u):
     return Field(g, (K @ src).reshape(g.n, g.n))
 
 
-def fock_bergman_project_loop(u, terms=120):
+def fock_bergman_project_loop(u, terms=solver.FOCK_TERMS):
     """Reference Fock projection: the series sum_k <u, e_k> e_k over the
     orthonormal monomials e_k = z^k / sqrt(pi k!), term by term with
     full-grid monomial arrays."""
@@ -241,7 +241,7 @@ def test_solve_guards_e2phi_on_support_disk_only(member):
     assert rep.h2_passes
     assert not rep.non_orthogonal_datum
     with pytest.raises(DynamicRangeError):
-        uniqueness_probe(g, w, 1)
+        uniqueness_probe(g, w)
 
 
 def test_gaussian_datum_is_flagged(grid_default, gaussian_field, fock):
@@ -354,6 +354,15 @@ def test_projection_is_bit_identical_for_any_cpu_count(inverse512, monkeypatch):
     assert np.array_equal(outs[0], outs[2])
 
 
+@pytest.mark.parametrize("radius", [19.0, 1e300])
+def test_projection_guard_names_the_kernel_exponent(radius):
+    # e^{2 R^2} leaves the float range past R = sqrt(EXP_CAP / 2) = 18.7; at
+    # R = 1e300, R^2 itself would overflow before any comparison
+    u = Field(build_grid(radius, 8), np.zeros((8, 8)))
+    with pytest.raises(DynamicRangeError, match="kernel exponent exceeds dynamic range"):
+        fock_bergman_project(u)
+
+
 def test_two_block_grid_stays_on_the_callers_thread(grid_default, member, monkeypatch):
     seen = _block_threads(monkeypatch)
     monkeypatch.setattr(grid, "_usable_cpus", lambda: 4)
@@ -418,33 +427,32 @@ def test_minimal_solution_bound_fock_only(compliant):
 
 @pytest.mark.parametrize("p", [0, 1, 2, 3])
 def test_uniqueness_probe_energies_blow_up(grid_default, fock, p):
-    d = uniqueness_probe(grid_default, fock, p)
+    d = uniqueness_probe(grid_default, fock)[p]
+    assert d["p"] == p
     assert d["monotone"]
     assert d["growth_ratio"] > 1e3
 
 
 def test_uniqueness_probe_degrees_share_one_call(grid_default, fock):
-    radii = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-    tables = uniqueness_probe(grid_default, fock, range(4), radii=radii)
-    assert tables == [uniqueness_probe(grid_default, fock, p, radii=radii) for p in range(4)]
-    with pytest.raises(InvalidArgumentError):
-        uniqueness_probe(grid_default, fock, [0, 4])
-
-
-def test_uniqueness_probe_zero_amplitude(grid_default, fock):
-    d = uniqueness_probe(grid_default, fock, 1, amplitude=0.0)
-    assert d["energies"][-1] == 0.0
-    assert d["growth_ratio"] == 0.0
+    # each degree's table is that of its own pass over the grid, to the bit
+    tables = uniqueness_probe(grid_default, fock)
+    assert [t["p"] for t in tables] == list(solver.UNIQUENESS_DEGREES)
+    Z, h = grid_default.nodes, grid_default.spacing
+    density = fock.exp_phi(Z, 2.0) * fock.sample_lap_hat(grid_default)
+    for p, table in zip(solver.UNIQUENESS_DEGREES, tables):
+        dens = np.abs(Z**p) ** 2 * density
+        energies = [float(h * h * np.sum(dens[np.abs(Z) < r])) for r in solver.UNIQUENESS_RADII]
+        assert table["radii"] == list(solver.UNIQUENESS_RADII)
+        assert table["energies"] == energies
+        assert table["growth_ratio"] == energies[-1] / energies[0]
 
 
 def test_uniqueness_probe_overflow_guard(grid_default):
     with pytest.raises(DynamicRangeError) as exc:
-        uniqueness_probe(grid_default, fock_weight(30.0), 1)
+        uniqueness_probe(grid_default, fock_weight(30.0))
     assert exc.value.node_index is not None
 
 
 def test_uniqueness_probe_rejects_bad_inputs(grid_default, fock):
-    with pytest.raises(InvalidArgumentError):
-        uniqueness_probe(grid_default, fock, 4)
     with pytest.raises(WeightInvariantViolationError):
-        uniqueness_probe(grid_default, custom_weight({"name": "quartic"}), 1)
+        uniqueness_probe(grid_default, custom_weight({"name": "quartic"}))
