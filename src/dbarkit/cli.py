@@ -106,8 +106,11 @@ def load_config(path=None, overrides=None) -> dict:
         cfg = _merge_validate(cfg, user)
     if overrides:
         cfg = _merge_validate(cfg, overrides)
-    if cfg["grid"]["n"] < 8:
-        raise ConfigError(f"grid.n must be an integer >= 8, got {cfg['grid']['n']!r}")
+    n = cfg["grid"]["n"]
+    # an int compares with a float exactly, so a huge n raises nothing here
+    if not 8 <= n <= sys.float_info.max:
+        shown = repr(n) if n < 8 else f"an integer of {len(str(n))} digits"
+        raise ConfigError(f"grid.n must be an integer from 8 to the largest float, got {shown}")
     if cfg["seed"] < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {cfg['seed']!r}")
     positive = {"grid.radius": cfg["grid"]["radius"],

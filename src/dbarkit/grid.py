@@ -235,8 +235,15 @@ def _line_blocks(start: int, stop: int, width: int) -> list:
     """Slices cutting ``range(start, stop)`` into runs of lines (rows or
     columns) ``width`` nodes long, at most ``BLOCK_NODES`` nodes a run; the
     cuts depend on the sizes alone."""
-    step = max(1, BLOCK_NODES // width)
+    step = max(1, BLOCK_NODES // max(width, 1))
     return [slice(i, min(i + step, stop)) for i in range(start, stop, step)]
+
+
+def _nonzero_lines(a: np.ndarray, axis: int) -> slice:
+    """The rows (``axis`` 1) or columns (``axis`` 0) of ``a`` from the first
+    to the last that holds a nonzero, as a slice; empty for an all-zero ``a``."""
+    hit = np.flatnonzero(np.any(a, axis=axis))
+    return slice(int(hit[0]), int(hit[-1]) + 1) if hit.size else slice(0, 0)
 
 
 def _map_blocks(fn, blocks: list) -> list:

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .errors import DynamicRangeError, InvalidArgumentError, TruncationMassWarning
-from .grid import BLOCK_NODES, FLOAT_FMT, Field, _ring_mask, warn_boundary_mass
+from .grid import BLOCK_NODES, FLOAT_FMT, Field, _nonzero_lines, _ring_mask, warn_boundary_mass
 
 IM_EXPONENT_CAP = 30.0
 # the moments m_0..m_J that the solver and the moment checks take
@@ -128,7 +128,8 @@ def _fourier2_samples(f: Field, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
 
     On the tensor grid the kernel factors as e^{-i xi x_j} e^{-i eta y_k}, so
     all S samples cost 2 S n exponentials and one (S x n) @ (n x n) product
-    instead of S n^2 exponentials.
+    instead of S n^2 exponentials.  The sums run over the datum's nonzero
+    bounding box only, rows ``x_j`` by columns ``y_k``.
     """
     g = f.grid
     growth = g.radius * (np.abs(xi.imag) + np.abs(eta.imag))
@@ -138,10 +139,11 @@ def _fourier2_samples(f: Field, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
             f"fourier2: |Im| growth exponent {worst:.1f} exceeds cap {IM_EXPONENT_CAP}"
         )
     x = g.axis
-    ex = np.exp(-1j * np.outer(xi, x))
-    ey = np.exp(-1j * np.outer(eta, x))
+    rows, cols = _nonzero_lines(f.values, 1), _nonzero_lines(f.values, 0)
+    ex = np.exp(-1j * np.outer(xi, x[rows]))
+    ey = np.exp(-1j * np.outer(eta, x[cols]))
     h = g.spacing
-    return h * h * np.sum((ex @ f.values) * ey, axis=1)
+    return h * h * np.sum((ex @ f.values[rows, cols]) * ey, axis=1)
 
 
 def default_diagonal_samples() -> np.ndarray:

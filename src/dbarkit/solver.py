@@ -15,9 +15,10 @@ pad.  Error and residual are of order 2.0: for the seed-42 bump at R = 6 the
 sup error is 8.8e-2, 2.2e-2, 5.4e-3, 1.4e-3 at n = 128, 256, 512, 1024.
 The convolution runs on ``diffops._fft2``'s threaded row and column blocks
 and skips the work whose result is known or dropped; its bits are those of
-whole-array ``fft2``/``ifft2``.  One transform at n = 1024 takes 0.26-0.29 s
-on 2 vCPUs, against 0.30-0.33 s with two full pads and 0.86 s with the
-whole-array transforms.
+whole-array ``fft2``/``ifft2``.  One transform at n = 1024 takes about
+0.21-0.22 s on 2 vCPUs, against 0.22-0.27 s with the kernel divided out
+over every offset and the datum's rows all transformed, 0.30-0.33 s with
+two full pads and 0.86 s with the whole-array transforms.
 
 The growing-weight bound (constant 1/2) and the classical bound via the
 Fock-space projection are evaluated on the datum's support disk, where both
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import diffops
 from .errors import DynamicRangeError, InvalidArgumentError
-from .grid import Field, Grid, _line_blocks, _map_blocks, weighted_norm_sq
+from .grid import Field, Grid, _line_blocks, _map_blocks, _nonzero_lines, weighted_norm_sq
 from .moments import MOMENT_J, _monomial_sums, moments
 from .weights import EXP_CAP, Weight, curvature_margin
 
@@ -92,41 +93,72 @@ def cauchy_transform(f: Field) -> Field:
     linear-convolution entry 3n-3, so none wraps around.
 
     The bits are those of ``ifft2(fft2(K, s) * fft2(f, s))`` at s = (2n, 2n),
-    with less work and memory: the kernel's offset rows are built block by
-    block in its row pass; the datum's row pass covers its n rows, into an
-    n x 2n buffer; one pass over blocks of columns pads each block of the
+    with less work and memory: the kernel (``_cauchy_kernel``) is transformed
+    in place; the datum's row pass covers its rows from the first to the
+    last nonzero one (a zero row transforms to zeros), into a buffer of that
+    many rows by 2n; one pass over blocks of columns pads each block of the
     datum to 2n rows in a scratch buffer, transforms it there and multiplies
     it into the kernel's spectrum; the inverse runs in place, its column pass
-    on the n kept columns only.  At n = 1024 the spectra take 96 MB, not the
-    128 MB of two full pads.
+    on the n kept columns only.  At n = 1024 the spectra take 78 MB for the
+    seed-42 datum (424 nonzero rows), not the 128 MB of two full pads.
     """
     n, h = f.grid.n, f.grid.spacing
     shape = (2 * n, 2 * n)
-    j = np.arange(1 - n, n + 1, dtype=float)  # the offsets, then n for the pad row
-
-    def kernel(r):  # offset rows r; the zero offset's entry and the pad row are 0
-        K = j[r, None] + 1j * j[None, :-1]
-        centre = j[r] == 0.0
-        K[centre, n - 1] = 1.0
-        np.divide(h / pi, K, out=K)
-        K[centre, n - 1] = 0.0
-        K[j[r] == n] = 0.0
-        return K
-
-    K = diffops._fft2(kernel, shape)
-    F = diffops._fft2(lambda r: f.values[r], (n, 2 * n), columns=slice(0))  # rows only
+    K = _cauchy_kernel(n, h)
+    diffops._fft2(lambda r: K[r], shape, out=K)
+    rows = _nonzero_lines(f.values, 1)  # the other rows' transforms are 0
+    F = diffops._fft2(lambda r: f.values[rows][r], (rows.stop - rows.start, 2 * n),
+                      columns=slice(0))  # rows only
 
     def column_product(c):  # K *= fft2 of the padded datum, on columns c
         pad = np.zeros((2 * n, c.stop - c.start), dtype=complex)
-        pad[:n] = F[:, c]
+        pad[rows] = F[:, c]
         np.fft.fft(pad, axis=0, out=pad)
         np.multiply(K[:, c], pad, out=K[:, c])
 
     _map_blocks(column_product, _line_blocks(0, 2 * n, 2 * n))
-    del F  # its n x 2n buffer is free before the result is copied out of K
+    del F  # its buffer is free before the result is copied out of K
     keep = slice(n - 1, 2 * n - 1)
     conv = diffops._fft2(lambda r: K[r], shape, inverse=True, columns=keep, out=K)
     return Field(f.grid, conv[keep, keep])  # a strided view: Field copies it, freeing the pad
+
+
+def _cauchy_kernel(n: int, h: float) -> np.ndarray:
+    """The 2n x 2n kernel array: (h/pi)/(j + i k) at row j + n - 1 and column
+    k + n - 1 for offsets |j|, |k| < n, 0 at j = k = 0 and on the pad row and
+    column 2n - 1, each value bit for bit the division's.
+
+    The divisions run over the quadrant j, k >= 0 only, a block of rows |j|
+    at a time; K(j, -k) = conj K(j, k) and K(-j, -k) = -K(j, k) fill the rest
+    exactly, but for the signs of the zeros on the lines j = 0 and k = 0,
+    which are divided out apart."""
+    K = np.empty((2 * n, 2 * n), dtype=complex)
+    c = h / pi
+    k = np.arange(n, dtype=float)
+
+    def quadrant(r):  # rows j = r and -r of K
+        Q = k[r, None] + 1j * k
+        if r.start == 0:
+            Q[0, 0] = 1.0  # the centre, set to 0 with the lines below
+        np.divide(c, Q, out=Q)
+        pos = K[n - 1 + r.start : n - 1 + r.stop, : 2 * n - 1]
+        pos[:, n - 1 :] = Q
+        np.conj(Q[:, :0:-1], out=pos[:, : n - 1])
+        Q = Q[: 0 if r.start == 0 else None : -1]  # rows -j, ascending; j = 0 is done
+        neg = K[n - r.stop : n - max(r.start, 1), : 2 * n - 1]
+        np.negative(Q[:, :0:-1], out=neg[:, : n - 1])
+        np.conj(Q, out=neg[:, n - 1 :])
+        np.negative(neg[:, n - 1 :], out=neg[:, n - 1 :])
+
+    _map_blocks(quadrant, _line_blocks(0, n, 2 * n))
+    j = np.arange(1 - n, n, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):  # at the centre
+        K[n - 1, : 2 * n - 1] = c / (0.0 + 1j * j)
+        K[: 2 * n - 1, n - 1] = c / (j + 1j * 0.0)
+    K[n - 1, n - 1] = 0.0
+    K[-1] = 0.0
+    K[:, -1] = 0.0
+    return K
 
 
 def dbar_invert_spectral(f: Field) -> Field:

@@ -2,15 +2,18 @@
 
 * fd4: 4th-order centered finite differences.  With no one-sided stencils,
   the outer ``FD4_BAND`` rings of a result are zeroed.
-* Spectral ``delz`` = conj o dbar o conj, the del operator on its own (the
-  package forms del only beside dbar, in ``diffops.dbar_and_del``).
+* Spectral ``delz`` = conj o dbar o conj, the del operator on its own, and
+  ``dbar_and_del``, both operators from one 2-D forward transform with
+  del's symbol conj(dbar's at -k).  The package forms neither: its norm identity takes
+  per-axis derivatives on the datum's support lines.
 * Midpoint-rule ``integrate`` and ``pairing``.
 * ``moments_gathered``: the moments from one full-length gather of the
   datum's nonzero values and nodes, each m_j one ``np.sum``.
 * ``bargmann_probe_dense``: the Plancherel probe on a fixed 3000 x 480 rule,
   with e^{x^2/beta} as its own factor on the right sides.
-* ``norm_identity_fields``: the two sides of the norm identity from
-  full-grid weight fields, products and ``weighted_norm_sq``.
+* ``norm_identity_terms`` and ``norm_identity_fields``: the norms and the
+  two sides of the norm identity from ``dbar_and_del``, full-grid weight
+  fields, products and ``weighted_norm_sq``.
 * T = dbar - M_{dbar phi}, T* = -del - M_{del phi} and the dual picture
   v = e^{phi} u.  T = M_{e^phi} dbar M_{e^{-phi}}, so k lies in ker T*
   exactly when e^{phi} conj(k) is entire and square-integrable against
@@ -115,17 +118,38 @@ def apply_Tstar(v: Field, w) -> Field:
     return -delz(v) - w.sample_dphi(v.grid) * v
 
 
-def norm_identity_fields(v: Field, w) -> tuple[float, float]:
-    """(lhs, rhs) of ``identity.verify_norm_identity`` in Field arithmetic: the
-    weight fields, the products T v, T* v and the sums over the whole grid.
-    For the trivial weight, (||dbar v||^2, ||del v||^2)."""
-    dv, delv = diffops.dbar_and_del(v)
+def dbar_and_del(v: Field) -> tuple[Field, Field]:
+    """(dbar v, del v) from one forward FFT; del's symbol conj(dbar symbol[-k])
+    is that of conj o dbar o conj, Nyquist lines included."""
+    k = diffops._wavenumbers(v.grid)
+    kneg = k[-np.arange(v.grid.n)]  # k[-j mod n]
+    return diffops._spectral(v, lambda r: diffops._dbar_symbol(k, r),
+                             lambda r: np.conj(diffops._dbar_symbol(kneg, r)))
+
+
+def norm_identity_terms(v: Field, w) -> tuple[float, float, float]:
+    """(||T v||^2, ||T* v||^2, 2 integral |v|^2 lap_hat(phi)) in Field
+    arithmetic: ``dbar_and_del``, the weight fields, the products T v, T* v
+    and the sums over the whole grid.  For the trivial weight T = dbar,
+    T* = -del and the last term is 0."""
+    dv, delv = dbar_and_del(v)
     with np.errstate(over="ignore", invalid="ignore"):
         if w.is_trivial():
-            return weighted_norm_sq(dv, 1.0), weighted_norm_sq(delv, 1.0)
-        lhs = (weighted_norm_sq(dv - w.sample_dbarphi(v.grid) * v, 1.0)
-               - weighted_norm_sq(delv + w.sample_dphi(v.grid) * v, 1.0))
-        return lhs, 2.0 * weighted_norm_sq(v, w.sample_lap_hat(v.grid))
+            return weighted_norm_sq(dv, 1.0), weighted_norm_sq(delv, 1.0), 0.0
+        tv = weighted_norm_sq(dv - w.sample_dbarphi(v.grid) * v, 1.0)
+        tsv = weighted_norm_sq(delv + w.sample_dphi(v.grid) * v, 1.0)
+        # a plain integral, as laplacian_hat(phi) need not be positive
+        h = v.grid.spacing
+        lap = w.sample_lap_hat(v.grid)
+        return tv, tsv, 2.0 * float(h * h * np.sum((v.values.real**2 + v.values.imag**2) * lap))
+
+
+def norm_identity_fields(v: Field, w) -> tuple[float, float]:
+    """(lhs, rhs) of ``identity.verify_norm_identity`` from ``norm_identity_terms``:
+    (||T v||^2 - ||T* v||^2, 2 integral |v|^2 lap_hat(phi)), and for the
+    trivial weight (||dbar v||^2, ||del v||^2)."""
+    tv, tsv, rhs = norm_identity_terms(v, w)
+    return (tv, tsv) if w.is_trivial() else (tv - tsv, rhs)
 
 
 def to_dual_picture(u: Field, w) -> Field:

@@ -276,6 +276,13 @@ def test_extreme_radii_end_without_a_traceback(tmp_path, capsys, argv, rc, undef
     assert list(rep["details"][argv[0]]["undefined"]) == [undefined]
 
 
+def test_grid_n_past_the_floats_is_a_config_error(tmp_path, capsys):
+    # 10^400 does not convert to a float: the cell size 2R/n would overflow
+    assert main(["curvature", "--grid-n", "1" + "0" * 400, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: grid.n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_report_bounds_are_the_library_constants():
     cfg = load_config(overrides={"grid": {"n": 64}})
     bargmann = run(cfg, "bargmann-probe")["checks"]

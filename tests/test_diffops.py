@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from dbarkit import build_grid, grid, sample
 from dbarkit.bumps import BumpPoly, Poly2
-from dbarkit.diffops import _fft2, dbar, dbar_and_del, interior_max, laplacian_hat
+from dbarkit.diffops import _fft2, dbar, interior_max, laplacian_hat
 from dbarkit.errors import InvalidArgumentError
 from dbarkit.grid import Field
-from oracles import FD4_BAND, SCHEMES, fd4_dbar, integrate
+from oracles import FD4_BAND, SCHEMES, dbar_and_del, fd4_dbar, integrate
 
 
 def radial_window(r_plateau, r_support):
