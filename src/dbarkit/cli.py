@@ -41,7 +41,7 @@ DEFAULT_CONFIG = {
     "grid": {"radius": 6.0, "n": 256},
     "weight": {"name": "fock", "t": 1.0},
     # only "spectral": kept since the benchmark's recorded reports hold the key,
-    # until the benchmark-upkeep change records them again (ROADMAP item 8)
+    # until the benchmark-upkeep change records them again (ROADMAP item 1)
     "scheme": "spectral",
     "tolerances": {"identity_rel": 1e-6, "moment_abs": 1e-8, "bound_slack": 0.01},
     "seed": 42,

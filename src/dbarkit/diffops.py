@@ -74,7 +74,7 @@ def _spectral(v: Field, *symbols) -> tuple[Field, ...]:
 def dbar(v: Field, scheme: str = "spectral") -> Field:
     """Discrete dbar = (d_x + i d_y)/2."""
     # ``scheme`` admits "spectral" alone: kept since the benchmark's convergence
-    # workload passes it, until the benchmark-upkeep change (ROADMAP item 7)
+    # workload passes it, until the benchmark-upkeep change (ROADMAP item 1)
     if scheme != "spectral":
         raise InvalidArgumentError(f"unknown scheme {scheme!r}; only 'spectral' is supported")
     k = _wavenumbers(v.grid)

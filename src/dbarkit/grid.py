@@ -9,14 +9,13 @@ exactly (2R)^2.
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import io
 import os
-import shutil
-import tempfile
 import threading
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,11 +27,12 @@ from .errors import (
 )
 
 FLOAT_FMT = "%.17g"
-# a CSV dump is split into blocks of whole grid rows, one per usable CPU but
-# at most one per this many nodes (about 560 kB of text): below it a fork and
-# a temporary file cost more than a second block saves (one block against
-# two on 2 vCPUs: 9 against 13 ms at n = 64, 19 against 17 ms at n = 96)
-CSV_CHUNK_ROWS = 1 << 13
+# the CSV dump formats |x| in [10^-EXACT_EXP, 10^(EXACT_EXP+1)) from exact
+# decimal scaling; 10^(16-k) and its products stay normal doubles there
+EXACT_EXP = 279
+# a scaled value this close to a half-integer may be a decimal tie, which
+# the scaling cannot resolve: such a value is formatted by ``FLOAT_FMT %``
+TIE_WINDOW = 2.0**-30
 # the Fock projection and the 2-D FFTs work on blocks of whole grid rows or
 # columns of at most this many nodes: a block's complex arrays (0.5 MB each)
 # then stay in a 2 MB L2 cache
@@ -178,50 +178,63 @@ def warn_boundary_mass(m: float, threshold: float = 1e-14, context: str = "field
 def write_field_csv(v: Field, fh) -> None:
     """Write the CSV dump of ``v`` to the text stream ``fh``.
 
-    Header re,im,val_re,val_im, then one row per node in row-major order.
-    The axis coordinates are formatted once; each grid row is then one
-    ``%`` format of its 2n value parts, written as it is made.
+    Header re,im,val_re,val_im, then one row per node in row-major order,
+    each number exactly as ``FLOAT_FMT % x`` prints it.  The axis coordinates
+    are formatted once by ``%``; the values are formatted in bulk
+    (``_float_fields``):
 
-    The grid rows are split into contiguous blocks, as many as there are
-    usable CPUs but no more than ``ceil(n^2 / CSV_CHUNK_ROWS)``. The caller's
-    process formats the first block straight into ``fh``; each other block is
-    formatted by a forked child into a temporary file, which is copied into
-    ``fh`` in row order, so the bytes are those of the serial order. With one
-    block (a small grid, one usable CPU, or no ``os.fork``) nothing is forked.
-    A failed child raises ``OSError`` naming its block.
+    - With k = floor(log10 |x|), y = |x| 10^(16-k) lies in [10^16, 10^17).
+      10^(16-k) comes from a table as hi + lo, both rounded from exact
+      integers, and y as the double y_hi = fl(|x| hi) plus the correction
+      dy = (|x| hi - y_hi) + |x| lo.  The first term is exact (Dekker's
+      product over Veltkamp's split, as numpy has no FMA), so y_hi + dy is
+      within 2^-47 of y for y < 2^57 (the table, the rounding of |x| lo and
+      that of the sum add at most 2^-49 each).  log10 may put k one off
+      next to a power of ten; k is then moved by one.
+    - y_hi is an integer above 2^53, so the 17 significant digits are
+      D = y_hi + rint(dy), a carry to 10^17 raising k.  This is the correctly
+      rounded D unless y lies within 2^-47 of a half-integer, so a value
+      whose dy lies within ``TIE_WINDOW`` of one, and any |x| outside
+      [10^-EXACT_EXP, 10^(EXACT_EXP+1)) but zero, is formatted by
+      ``FLOAT_FMT % x`` instead.  Of random bit patterns in range, 0.08 %
+      take that way (large integers that end in a decimal half); of
+      ``solve``'s field at n = 1024, none.
+    - D is read in 4-digit groups from a table and laid out by ``%g``'s rules
+      at precision 17: exponent form iff k < -4 or k >= 17, trailing zeros
+      and a bare point dropped, the exponent signed and at least two digits.
+
+    The grid rows are cut into ``_line_blocks`` of about 2^15 numbers, which
+    ``_map_blocks`` formats on its threads in groups of two per usable CPU, so
+    that no more blocks of text than that are alive; they are written in
+    row order.
     """
     n = v.grid.n
-    xs = [FLOAT_FMT % x + "," for x in v.grid.axis.tolist()]
-    blocks = _csv_blocks(n)
-    cuts = [n * b // blocks for b in range(blocks + 1)]
+    xs = np.array([(FLOAT_FMT % x + ",").encode() for x in v.grid.axis.tolist()])
+    xs = xs.view(np.uint8).reshape(n, -1)
+    _float_tables()  # built here, before any worker thread starts
+    blocks = _line_blocks(0, n, 2 * n)
+    group = 2 * _usable_cpus()
     fh.write("re,im,val_re,val_im\n")
-    with contextlib.ExitStack() as files:
-        children = []  # (block, pid, file) for blocks 1.., in row order
-        # a bare fork, not a spawn pool: the child reads the field already in
-        # memory and only formats strings (no BLAS call, no lock of another
-        # thread), and importing multiprocessing would add to every set-up
-        try:
-            for b in range(1, blocks):
-                tmp = files.enter_context(tempfile.TemporaryFile("w+"))
-                pid = os.fork()
-                if pid == 0:
-                    _block_child(tmp, v.values, xs, range(cuts[b], cuts[b + 1]))
-                children.append((b, pid, tmp))
-            _format_rows(fh, v.values, xs, range(cuts[0], cuts[1]))
-        finally:
-            failed = [b for b, pid, _ in children if os.waitpid(pid, 0)[1] != 0]
-        if failed:
-            raise OSError(f"CSV block {failed[0]} of {blocks} failed in its child process")
-        for _, _, tmp in children:
-            tmp.seek(0)
-            shutil.copyfileobj(tmp, fh)
+    for i in range(0, len(blocks), group):
+        for text in _map_blocks(lambda rows: _csv_text(v.values[rows], xs, rows),
+                                blocks[i:i + group]):
+            fh.write(text)
 
 
-def _csv_blocks(n: int) -> int:
-    """Number of row blocks a CSV dump of an n x n grid is split into."""
-    if not hasattr(os, "fork"):
-        return 1
-    return min(_usable_cpus(), -(-n * n // CSV_CHUNK_ROWS))
+def _csv_text(values: np.ndarray, xs: np.ndarray, rows: slice) -> str:
+    """The CSV lines of the grid rows ``rows``, whose ``values`` these are;
+    ``xs`` holds the axis coordinates as NUL-padded ``x,`` byte strings."""
+    r, n = values.shape
+    w = xs.shape[1]
+    lines = np.empty((r, n, 2 * w + 2 * _FIELD_BYTES), np.uint8)
+    lines[:, :, :w] = xs[rows, None]
+    lines[:, :, w:2 * w] = xs
+    lines[:, :, 2 * w:] = _float_fields(values.view(float).reshape(-1)).reshape(r, n, -1)
+    lines[:, :, 2 * w + _FIELD_BYTES - 1] = ord(",")
+    lines[:, :, -1] = ord("\n")
+    # one grid row at a time, so the index array behind the NUL drop stays small
+    return b"".join(np.compress(line != 0, line).tobytes()
+                    for line in lines.reshape(r, -1)).decode("ascii")
 
 
 def _usable_cpus() -> int:
@@ -284,30 +297,162 @@ def _map_blocks(fn, blocks: list) -> list:
     return results
 
 
-def _format_rows(fh, values: np.ndarray, xs: list, rows: range) -> None:
-    """Write the CSV lines of grid rows ``rows``; ``xs`` holds the formatted axis."""
-    # the line of node (j, k) is xs[j] + tails[k], so grid row j is one
-    # template xs[j] + xs[j].join(tails) holding 2n float formats
-    tails = [x + FLOAT_FMT + "," + FLOAT_FMT + "\n" for x in xs]
-    for j in rows:
-        fh.write((xs[j] + xs[j].join(tails)) % tuple(values[j].view(float).tolist()))
+# A number's CSV field is _FIELD_BYTES bytes, NUL where nothing is printed.
+# Byte 0 holds the sign and bytes 25..29 the exponent.  The digit string
+# P = "0000" + the 17 significant digits lies in bytes 3..23 of a work row,
+# P[j] in byte 3 + j.  The field keeps P[j] in its byte up to P[ip], the last
+# digit before the point, with ip = 4 + k in fixed notation and 4 in exponent
+# notation; the point takes the next byte and the digits after it move one
+# byte on.  Shown are P[j] for min(ip, 4) <= j <= max(ip, 4 + L), where L is
+# the index of the last nonzero significant digit, and the point iff a digit
+# follows it.  Layout ip * 17 + L holds the masks of (ip, L); one more
+# layout prints zero as "0".
+_FIELD_BYTES = 32
+_ZERO_LAYOUT = 21 * 17
+# table row k + _K0 holds decimal exponent k, which may stray 3 past
+# EXACT_EXP: log10's estimate, its correction and a carry
+_K0 = EXACT_EXP + 3
+_VELTKAMP = 2.0**27 + 1
 
 
-def _block_child(tmp, values: np.ndarray, xs: list, rows: range):
-    """Body of a forked child: format ``rows`` into ``tmp``, then ``os._exit``.
+class _FloatTables(NamedTuple):
+    pow10: np.ndarray   # (4, 2 _K0 + 1): hi, lo and hi's Veltkamp halves of 10^(16-k)
+    head: np.uint32     # the bytes 0, 0, 0, "0" (P[0] in byte 3)
+    lead: np.ndarray    # uint32 by digit d: the bytes "000" d (P[1..4])
+    quad: np.ndarray    # uint32 by 0..9999: its four ASCII digits
+    quad_tz: np.ndarray  # by 0..9999: the trailing zeros of its four digits
+    layout: np.ndarray  # by k: the layout for L = 16; L = 16 - trailing zeros
+    keep_a: np.ndarray  # by layout: 0xFF on the bytes that keep their work byte
+    keep_b: np.ndarray  # by layout: 0xFF on the bytes that take the byte before
+    point: np.ndarray   # by layout: the point
+    tail: np.ndarray    # by (k, sign): the sign and exponent bytes
 
-    The child never returns into the caller's stack and never flushes the
-    stdio or ``fh`` buffers it inherited, nor runs exit handlers.
-    """
-    code = 1
-    try:
-        _format_rows(tmp, values, xs, rows)
-        tmp.flush()
-        code = 0
-    except BaseException as e:  # the child's only report; it exits below either way
-        os.write(2, f"CSV block child: {type(e).__name__}: {e}\n".encode())
-    finally:
-        os._exit(code)
+
+@functools.cache
+def _float_tables() -> _FloatTables:
+    """The tables of ``_float_fields``, built on the first CSV dump."""
+    ks = range(-_K0, _K0 + 1)
+    hi, lo = [], []
+    for k in ks:
+        num, den = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
+        h = num / den  # int true division rounds correctly
+        a, b = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * b - a * den) / (den * b))
+    hi = np.array(hi)
+    c = hi * _VELTKAMP
+    top = c - (c - hi)
+    g = np.arange(10000)
+    quad = (g[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    lead = np.full((10, 4), ord("0"), np.uint8)
+    lead[:, 3] += np.arange(10, dtype=np.uint8)
+
+    kk = np.arange(-4, 17)[:, None, None]  # the point's place
+    L = np.arange(17)[None, :, None]
+    j = np.arange(_FIELD_BYTES) - 3  # a byte's index into P
+    ip = 4 + kk
+    last = np.maximum(ip, 4 + L)
+    none = np.zeros(_FIELD_BYTES, bool)
+
+    def layouts(shown, zero):
+        m = np.broadcast_to(shown, (21, 17, _FIELD_BYTES)).reshape(-1, _FIELD_BYTES)
+        return np.vstack([m, zero]).astype(np.uint8)
+
+    tail = np.zeros((len(ks), 2, _FIELD_BYTES), np.uint8)
+    tail[:, 1, 0] = ord("-")
+    for r, k in enumerate(ks):
+        if k < -4 or k > 16:
+            e = np.frombuffer(b"e%+03d" % k, np.uint8)
+            tail[r, :, 25:25 + e.size] = e
+    return _FloatTables(
+        pow10=np.stack([hi, np.array(lo), top, hi - top]),
+        head=np.frombuffer(b"\0\0\0" b"0", np.uint32)[0],
+        lead=lead.view(np.uint32)[:, 0],
+        quad=quad.view(np.uint32)[:, 0],
+        quad_tz=(g % 10 == 0).astype(np.intp) + (g % 100 == 0) + (g % 1000 == 0) + (g == 0),
+        layout=np.array([(k + 4 if -4 <= k <= 16 else 4) * 17 + 16 for k in ks]),
+        keep_a=255 * layouts((j >= np.minimum(ip, 4)) & (j <= ip), j == 3),
+        keep_b=255 * layouts((j > ip + 1) & (j - 1 <= last), none),
+        point=ord(".") * layouts((j == ip + 1) & (last > ip), none),
+        tail=tail.reshape(-1, _FIELD_BYTES),
+    )
+
+
+def _scaled(x: np.ndarray, row: np.ndarray, pow10: np.ndarray):
+    """x 10^(16-k) for the table rows ``row`` of k as y_hi + dy (see
+    ``write_field_csv``), within 2^-47 of exact below 2^57."""
+    hi, lo, top, bottom = pow10.take(row, axis=1)
+    y = x * hi
+    c = x * _VELTKAMP
+    xt = c - (c - x)
+    xb = x - xt
+    dy = ((xt * top - y) + xt * bottom + xb * top) + xb * bottom  # x hi - y, exactly
+    dy += x * lo
+    return y, dy
+
+
+def _divmod(a: np.ndarray, d: int):
+    """``np.divmod(a, d)``; numpy divides by a scalar fast, unlike ``divmod``."""
+    q = a // d
+    return q, a - q * d
+
+
+def _float_fields(a: np.ndarray) -> np.ndarray:
+    """``FLOAT_FMT % x`` for each x of the float64 vector ``a``, as one
+    ``_FIELD_BYTES``-byte row with NULs where nothing is printed."""
+    t = _float_tables()
+    ax = np.abs(a)
+    exact = (ax >= 10.0**-EXACT_EXP) & (ax < 10.0 ** (EXACT_EXP + 1))
+    x = np.where(exact, ax, 1.0)
+    row = np.log10(x)
+    np.floor(row, out=row)
+    row = row.astype(np.intp) + _K0
+    y, dy = _scaled(x, row, t.pow10)
+    low = (y < 1e16) | ((y == 1e16) & (dy < 0))
+    high = (y > 1e17) | ((y == 1e17) & (dy >= 0))
+    off = np.flatnonzero(low | high)
+    if off.size:
+        row[off] += high[off].astype(np.intp) - low[off]
+        y[off], dy[off] = _scaled(x[off], row[off], t.pow10)
+    r = np.rint(dy)
+    digits = y.astype(np.int64) + r.astype(np.int64)
+    carry = np.flatnonzero(digits == 10**17)
+    digits[carry] = 10**16
+    row[carry] += 1
+    zero = a == 0
+    slow = np.flatnonzero((~exact & ~zero) | (np.abs(np.abs(dy - r) - 0.5) < TIE_WINDOW))
+
+    upper, lower = _divmod(digits, 10**8)
+    d0, upper = _divmod(upper, 10**8)
+    g1, g2 = _divmod(upper, 10**4)
+    g3, g4 = _divmod(lower, 10**4)
+    work = np.zeros((a.size, _FIELD_BYTES // 4), np.uint32)
+    work[:, 0] = t.head
+    work[:, 1] = t.lead.take(d0)
+    for col, group in enumerate((g1, g2, g3, g4), start=2):
+        work[:, col] = t.quad.take(group)
+    work = work.view(np.uint8).reshape(-1)
+    tz = t.quad_tz.take(g4)
+    run = np.flatnonzero(g4 == 0)  # the zeros run on into the groups above
+    if run.size:
+        z3, z2, z1 = (t.quad_tz.take(g[run]) for g in (g3, g2, g1))
+        tz[run] += z3 + (g3[run] == 0) * (z2 + (g2[run] == 0) * z1)
+    layout = t.layout.take(row) - tz
+    layout[zero] = _ZERO_LAYOUT
+
+    out = t.keep_a.take(layout, axis=0)
+    flat = out.reshape(-1)
+    flat &= work
+    before = t.keep_b.take(layout, axis=0).reshape(-1)
+    before[1:] &= work[:-1]  # byte i of a field from byte i - 1 of its work row
+    flat |= before
+    flat |= t.point.take(layout, axis=0).reshape(-1)
+    flat |= t.tail.take(2 * row + np.signbit(a), axis=0).reshape(-1)
+    if slow.size:
+        text = np.array([(FLOAT_FMT % s).encode() for s in a[slow].tolist()],
+                        dtype=f"S{_FIELD_BYTES}")
+        out[slow] = text.view(np.uint8).reshape(-1, _FIELD_BYTES)
+    return out
 
 
 def field_to_csv(v: Field) -> str:

@@ -100,7 +100,7 @@ class CurvatureReport:
     min_margin: float
     passes: bool
     # always true: kept since the benchmark's recorded reports hold the key,
-    # until the benchmark-upkeep change records them again (ROADMAP item 8)
+    # until the benchmark-upkeep change records them again (ROADMAP item 1)
     analytic_path: bool = True
 
 

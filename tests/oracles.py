@@ -7,6 +7,8 @@
   del's symbol conj(dbar's at -k).  The package forms neither: its norm identity takes
   per-axis derivatives on the datum's support lines.
 * Midpoint-rule ``integrate`` and ``pairing``.
+* ``csv_rows_reference``: the CSV dump of a field, every number formatted
+  by ``%``.
 * ``moments_gathered``: the moments from one full-length gather of the
   datum's nonzero values and nodes, each m_j one ``np.sum``.
 * ``bargmann_probe_dense``: the Plancherel probe on a fixed 3000 x 480 rule,
@@ -30,8 +32,8 @@ import numpy as np
 
 from dbarkit import diffops
 from dbarkit.errors import InvalidArgumentError, TruncationMassWarning
-from dbarkit.grid import (Field, Grid, _ring_mask, boundary_mass, warn_boundary_mass,
-                          weighted_norm_sq)
+from dbarkit.grid import (FLOAT_FMT, Field, Grid, _ring_mask, boundary_mass,
+                          warn_boundary_mass, weighted_norm_sq)
 from dbarkit.moments import MATCH_TOL, BargmannProbeReport, MomentVector, _monomial_sums
 
 FD4_BAND = 2
@@ -89,6 +91,16 @@ def integrate(v: Field) -> complex:
 def pairing(f: Field, g: Field) -> complex:
     """Bilinear pairing integral f*g dA (no conjugation)."""
     return integrate(f * g)
+
+
+def csv_rows_reference(v: Field) -> str:
+    """The CSV dump of ``v``, every number formatted by ``FLOAT_FMT %``, one
+    grid row per ``%``."""
+    xs = [FLOAT_FMT % x + "," for x in v.grid.axis.tolist()]
+    tails = [y + FLOAT_FMT + "," + FLOAT_FMT + "\n" for y in xs]
+    rows = v.values.view(float).tolist()
+    return "re,im,val_re,val_im\n" + "".join(
+        "".join(x + t for t in tails) % tuple(row) for x, row in zip(xs, rows))
 
 
 def moments_gathered(f: Field, J: int) -> MomentVector:

@@ -539,13 +539,17 @@ def test_report_json_is_parseable_and_complete(tmp_path):
 
 
 def test_cli_import_loads_no_process_pool():
-    """The CSV writer forks with bare ``os.fork``; a pool module would add set-up time."""
+    """Importing the CLI loads no process pool, nor ``fractions``, ``decimal``
+    or ``numpy.strings``, and builds none of the CSV formatter's tables (they
+    are made on the first dump): each would add set-up time."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     code = ("import sys, dbarkit.cli; "
-            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+            "print([m for m in ('multiprocessing', 'concurrent.futures', 'fractions', 'decimal',"
+            " 'numpy.strings') if m in sys.modules], "
+            "dbarkit.grid._float_tables.cache_info().currsize)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "[] 0"

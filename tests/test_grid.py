@@ -1,18 +1,21 @@
-import io
+import functools
 import os
+import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dbarkit import build_grid, grid, sample, weighted_norm_sq
+from dbarkit import build_grid, cli, grid, sample, solver, weighted_norm_sq
 from dbarkit.bumps import BumpPoly, Poly2, random_suite
 from dbarkit.diffops import dbar
 from dbarkit.errors import InvalidArgumentError, InvalidWeightError, SamplingError
-from dbarkit.grid import CSV_CHUNK_ROWS, FLOAT_FMT, Field, field_to_csv, write_field_csv
-from oracles import integrate
+from dbarkit.grid import FLOAT_FMT, Field, field_to_csv, write_field_csv
+from dbarkit.weights import custom_weight
+from oracles import csv_rows_reference, integrate
 
 
 def test_build_grid_rejects_small_n():
@@ -243,90 +246,149 @@ def test_bump_sampling_matches_full_grid_evaluation(radius, n):
         assert np.array_equal(m.sample_dz(g).values, m.dz(z))
 
 
-def _csv_rows_reference(v):
-    """Row-by-row formatting over the full node array."""
-    fmt = ",".join([FLOAT_FMT] * 4) + "\n"
-    lines = ["re,im,val_re,val_im\n"]
-    for zz, vv in zip(v.grid.nodes.reshape(-1), v.values.reshape(-1)):
-        lines.append(fmt % (zz.real, zz.imag, vv.real, vv.imag))
-    return "".join(lines)
+@functools.cache
+def _bump_case(n):
+    """A bump field on an n x n grid and its reference dump, made once."""
+    v = sample(lambda z: z**2 * np.exp(-np.abs(z) ** 2) + 1j / 3, build_grid(3.0, n))
+    return v, csv_rows_reference(v)
+
+
+def _misformatted(a, fmt=FLOAT_FMT):
+    """The numbers of ``a`` whose text from the bulk formatter, fed in blocks
+    of 2^15 as the CSV dump feeds it, is not ``fmt % x``."""
+    bad = []
+    for i in range(0, a.size, 1 << 15):
+        block = a[i:i + (1 << 15)]
+        fields = grid._float_fields(block)
+        fields[:, -1] = ord("\n")
+        text = fields[fields != 0].tobytes().decode("ascii")
+        if text != (fmt + "\n") * block.size % tuple(block.tolist()):
+            got = [bytes(f[f != 0]).decode("ascii").strip() for f in fields]
+            bad += [(x, g) for x, g in zip(block.tolist(), got) if g != fmt % x]
+    return bad
+
+
+@functools.cache
+def _hard_floats():
+    """About 10^6 doubles, of either sign, that take every path of the bulk
+    formatter."""
+    rng = np.random.default_rng(2024)
+    bits = rng.integers(0, 2**64, 150_000, dtype=np.uint64).view(float)
+    binades = rng.random(300_000) * 2.0 ** rng.integers(-70, 70, 300_000)
+    subnormal = rng.integers(1, 2**52, 10_000, dtype=np.uint64).view(float)
+    tens = np.array([float(f"1e{j}") for j in range(-323, 309)])
+    switch = np.array([1e-5, 1e-4, 1e16, 1e17])
+    whole = np.concatenate([2.0**53 + np.arange(-1000, 1001),
+                            rng.integers(10**16, 10**17, 40_000, endpoint=True).astype(float)])
+    a = np.concatenate([
+        bits[np.isfinite(bits)], binades, subnormal, [0.0, 5e-324, 2.2250738585072014e-308],
+        *[np.concatenate([x, np.nextafter(x, 0), np.nextafter(x, np.inf)]) for x in (tens, switch)],
+        whole, [9.9999999999999994e-279],
+    ])
+    return np.concatenate([a, -a])
+
+
+def test_bulk_format_matches_percent_on_hard_values():
+    a = _hard_floats()
+    assert a.size > 10**6
+    bad = _misformatted(a)
+    assert not bad, f"{len(bad)} numbers misformatted, among them {bad[:5]}"
+    # among the powers of ten, doubles just below 10^j whose 17 digits round up to it
+    carried = [j for j in range(-323, 309) if Fraction(float(f"1e{j}")) < Fraction(10) ** j
+               and FLOAT_FMT % float(f"1e{j}") == "1e%+03d" % j]
+    assert len(carried) > 5
+
+
+def test_csv_fallback_writes_the_same_bytes(monkeypatch):
+    monkeypatch.setattr(grid, "TIE_WINDOW", 1.0)  # every value is a possible tie
+    v, reference = _bump_case(47)
+    assert field_to_csv(v) == reference
+    # with "%.17G", text from the scaled path would show a lower-case "e"
+    monkeypatch.setattr(grid, "FLOAT_FMT", "%.17G")
+    assert not _misformatted(_hard_floats()[::20], "%.17G")
+
+
+def test_csv_of_the_solve_field_at_n1024(tmp_path, monkeypatch):
+    """``solve``'s seed-42 solution at n = 1024 (the benchmark's dump) is the
+    reference byte for byte.  On two usable CPUs the dump's heap peaked at
+    23.3 MiB (tracemalloc): the two blocks being formatted and the four of
+    text alive between writes; the bound leaves 37 % over that."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0, 1})
+    cfg = cli.load_config(None, {"grid": {"n": 1024}})
+    g = cli._grid(cfg)
+    u = solver.solve_dbar(cli.RunMemo(42)["compliant", g], custom_weight(cfg["weight"]),
+                          slack=cfg["tolerances"]["bound_slack"]).u
+    path = tmp_path / "u.csv"
+    tracemalloc.start()
+    try:
+        with path.open("w") as fh:
+            write_field_csv(u, fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert path.read_text() == csv_rows_reference(u)
 
 
 def test_write_field_csv_streams_the_same_bytes(tmp_path):
-    g = build_grid(3.0, 96)
-    assert g.n * g.n > CSV_CHUNK_ROWS  # two row blocks where two CPUs are usable
-    v = sample(lambda z: z**2 * np.exp(-np.abs(z) ** 2) + 1j / 3, g)
+    v, reference = _bump_case(300)
     path = tmp_path / "v.csv"
     with path.open("w") as fh:
         write_field_csv(v, fh)
     text = path.read_text()
     assert text == field_to_csv(v)
-    assert text == _csv_rows_reference(v)
-
-
-def _bump_field(n):
-    return sample(lambda z: z**2 * np.exp(-np.abs(z) ** 2) + 1j / 3, build_grid(3.0, n))
-
-
-def _count_forks(monkeypatch):
-    """Wrap ``os.fork`` so the test process counts the children it forks."""
-    forks = []
-    real_fork = os.fork
-
-    def fork():
-        forks.append(1)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", fork)
-    return forks
+    assert text == reference
 
 
 def test_csv_row_blocks_write_the_serial_bytes(tmp_path, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0, 1, 2})
-    forks = _count_forks(monkeypatch)
-    v = _bump_field(129)  # 16641 nodes: three blocks of 43 rows
-    path = tmp_path / "v.csv"
-    with path.open("w") as fh:
-        # still in fh's buffer when the children fork: a child that flushed
-        # the buffers it inherited would write it again
-        fh.write("prefix\n")
-        write_field_csv(v, fh)
-    assert len(forks) == 2
-    text = path.read_text()
-    assert text.count("prefix") == 1
-    assert text == "prefix\n" + _csv_rows_reference(v)
+    def fork():
+        raise AssertionError("the CSV dump forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    for n in (8, 47, 129, 300):  # 300: six row blocks, dealt to threads
+        v, reference = _bump_case(n)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda _, c=cpus: set(range(c)))
+            path = tmp_path / f"v{n}-{cpus}.csv"
+            with path.open("w") as fh:
+                # still in fh's buffer when the blocks are formatted: it is written once
+                fh.write("prefix\n")
+                write_field_csv(v, fh)
+            assert path.read_text() == "prefix\n" + reference
 
 
 def test_field_to_csv_rides_on_the_row_blocks(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0, 1})
+    seen = []
+    csv_text = grid._csv_text
+
+    def record(values, xs, rows):
+        seen.append((rows.start, threading.get_ident()))
+        return csv_text(values, xs, rows)
+
+    monkeypatch.setattr(grid, "_csv_text", record)
+    v, reference = _bump_case(300)
+    assert field_to_csv(v) == reference
+    assert sorted(start for start, _ in seen) == [r.start for r in grid._line_blocks(0, 300, 600)]
+    assert len({thread for _, thread in seen}) == 2
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_csv_block_failure_leaves_no_thread(monkeypatch, failing):
     monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0, 1, 2})
-    forks = _count_forks(monkeypatch)
-    v = _bump_field(129)
-    assert field_to_csv(v) == _csv_rows_reference(v)
-    assert len(forks) == 2
+    caller = threading.get_ident()
+    csv_text = grid._csv_text
 
-
-@pytest.mark.parametrize("failing", ["child", "parent"])
-def test_csv_block_failure_reaps_every_child(monkeypatch, failing):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0, 1, 2})
-    parent = os.getpid()
-    format_rows = grid._format_rows
-
-    def flaky(fh, values, xs, rows):
-        if (os.getpid() == parent) == (failing == "parent"):
+    def flaky(values, xs, rows):
+        if (threading.get_ident() == caller) == (failing == "caller"):
             raise RuntimeError("formatter failed")
-        format_rows(fh, values, xs, rows)
+        return csv_text(values, xs, rows)
 
-    monkeypatch.setattr(grid, "_format_rows", flaky)
-    v = _bump_field(129)
-    if failing == "child":
-        with pytest.raises(OSError, match="CSV block 1 of 3"):
-            field_to_csv(v)
-    else:
-        with pytest.raises(RuntimeError, match="formatter failed"):
-            field_to_csv(v)
-    # every child was reaped: none is left, not even a zombie
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    monkeypatch.setattr(grid, "_csv_text", flaky)
+    threads = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="formatter failed"):
+        field_to_csv(_bump_case(300)[0])
+    assert set(threading.enumerate()) == threads
 
 
 @pytest.mark.parametrize("n,cpus,has_fork", [(8, {0, 1, 2}, True), (129, {0}, True),
@@ -335,18 +397,30 @@ def test_one_csv_block_forks_nothing(monkeypatch, n, cpus, has_fork):
     monkeypatch.setattr(os, "sched_getaffinity", lambda _: cpus)
     if has_fork:
         def fork():
-            raise AssertionError("a one-block dump forked")
+            raise AssertionError("the CSV dump forked")
 
         monkeypatch.setattr(os, "fork", fork)
     else:
         monkeypatch.delattr(os, "fork")
-    v = _bump_field(n)
-    assert field_to_csv(v) == _csv_rows_reference(v)
+    v, reference = _bump_case(n)
+    assert field_to_csv(v) == reference
 
 
 def test_csv_blocks_fall_back_to_cpu_count(monkeypatch):
+    """Blocks go to ``_map_blocks`` two per usable CPU, counted by
+    ``os.cpu_count()`` without an affinity set, and as one CPU without either."""
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert [grid._csv_blocks(n) for n in (8, 90, 91, 128, 129, 1024)] == [1, 1, 2, 2, 3, 3]
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert grid._csv_blocks(1024) == 1
+    groups = []
+    map_blocks = grid._map_blocks
+
+    def record(fn, blocks):
+        groups.append(len(blocks))
+        return map_blocks(fn, blocks)
+
+    monkeypatch.setattr(grid, "_map_blocks", record)
+    v, reference = _bump_case(300)  # six row blocks
+    for count, expected in ((3, [6]), (None, [2, 2, 2])):
+        monkeypatch.setattr(os, "cpu_count", lambda c=count: c)
+        groups.clear()
+        assert field_to_csv(v) == reference
+        assert groups == expected
