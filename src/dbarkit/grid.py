@@ -33,9 +33,10 @@ EXACT_EXP = 279
 # a scaled value this close to a half-integer may be a decimal tie, which
 # the scaling cannot resolve: such a value is formatted by ``FLOAT_FMT %``
 TIE_WINDOW = 2.0**-30
-# the Fock projection and the 2-D FFTs work on blocks of whole grid rows or
-# columns of at most this many nodes: a block's complex arrays (0.5 MB each)
-# then stay in a 2 MB L2 cache
+# the 2-D FFTs work on blocks of whole grid rows or columns, and the Fock
+# projection on blocks of whole rows of the grid's quarter, of at most this
+# many nodes: a block's complex arrays (0.5 MB each) then stay in a 2 MB L2
+# cache
 BLOCK_NODES = 1 << 15
 # the truncation warnings read the ring of the outer ceil(RING_FRAC n) rows and columns
 RING_FRAC = 0.05
@@ -264,13 +265,13 @@ def _map_blocks(fn, blocks: list) -> list:
     per usable CPU (the caller's among them), each taking two blocks or more;
     the first exception of a block is raised once all have ended.
 
-    At n = 256 (two blocks) one thread beat two in the Fock projection,
-    0.032 s against 0.038 s on 2 vCPUs: every numpy call hands the interpreter
-    lock over. ``fn`` calls no name perfbench's tracer opens a span for
-    (``Grid.nodes``, ``Field(...)``, a public dbarkit function): the tracer's
-    span stack is shared by all threads, so such a call from a worker would
-    corrupt the span tree. ``numpy.fft`` is fine, as the tracer only counts
-    its calls.
+    On two blocks of 128 grid rows (n = 256), one thread beat two in a
+    row-block Fock projection, 0.032 s against 0.038 s on 2 vCPUs: every
+    numpy call hands the interpreter lock over. ``fn`` calls no name
+    perfbench's tracer opens a span for (``Grid.nodes``, ``Field(...)``, a
+    public dbarkit function): the tracer's span stack is shared by all
+    threads, so such a call from a worker would corrupt the span tree.
+    ``numpy.fft`` is fine, as the tracer only counts its calls.
     """
     count = len(blocks)
     workers = min(_usable_cpus(), count // 2)

@@ -16,6 +16,9 @@
 * ``norm_identity_terms`` and ``norm_identity_fields``: the norms and the
   two sides of the norm identity from ``dbar_and_del``, full-grid weight
   fields, products and ``weighted_norm_sq``.
+* ``fock_project_full_grid`` and ``check_hormander_bound_full_grid``: the
+  Fock projection over k = 0..``FOCK_TERMS`` on full-grid arrays, and the
+  classical bound from it: two projections, the sides by ``weighted_norm_sq``.
 * T = dbar - M_{dbar phi}, T* = -del - M_{del phi} and the dual picture
   v = e^{phi} u.  T = M_{e^phi} dbar M_{e^{-phi}}, so k lies in ker T*
   exactly when e^{phi} conj(k) is entire and square-integrable against
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import warnings
 from collections import namedtuple
-from math import pi, sqrt
+from math import exp, lgamma, pi, sqrt
 
 import numpy as np
 
@@ -35,6 +38,7 @@ from dbarkit.errors import InvalidArgumentError, TruncationMassWarning
 from dbarkit.grid import (FLOAT_FMT, Field, Grid, _ring_mask, boundary_mass,
                           warn_boundary_mass, weighted_norm_sq)
 from dbarkit.moments import MATCH_TOL, BargmannProbeReport, MomentVector, _monomial_sums
+from dbarkit.solver import FOCK_TERMS, BoundReport, dbar_invert_spectral
 
 FD4_BAND = 2
 
@@ -120,6 +124,34 @@ def moments_gathered(f: Field, J: int) -> MomentVector:
     warn_boundary_mass(float(ring / peak) if peak else 0.0, threshold=1e-6,
                        context=f"moments up to J={J}")
     return MomentVector(J, _monomial_sums(z, a, J, g.spacing))
+
+
+def fock_project_full_grid(u: Field, terms: int = FOCK_TERMS) -> Field:
+    """The series sum_k <u, z^k> z^k / (pi k!), k = 0..terms, on full-grid
+    arrays: the pairings from ``_monomial_sums``, the sum by Horner's rule."""
+    g = u.grid
+    z = g.nodes
+    gauss = np.exp(-(z.real**2 + z.imag**2))
+    c = _monomial_sums(np.conj(z), u.values * gauss, terms, g.spacing)
+    c *= [exp(-lgamma(k + 1)) / pi for k in range(terms + 1)]
+    out = np.full(z.shape, c[-1])
+    for ck in c[-2::-1]:
+        out *= z
+        out += ck
+    return Field(g, out)
+
+
+def check_hormander_bound_full_grid(f: Field, w, slack: float = 0.01) -> BoundReport:
+    """``solver.check_hormander_bound`` from full-grid fields: u, Pu and P(Pu)
+    by ``fock_project_full_grid``, and the weight sampled on the grid."""
+    g = f.grid
+    u = dbar_invert_spectral(f)
+    Pu = fock_project_full_grid(u)
+    gauss = w.exp_phi(g.nodes, -2.0)
+    h1_lhs = weighted_norm_sq(u - Pu, gauss)
+    h1_rhs = 0.5 * weighted_norm_sq(f, gauss / w.sample_lap_hat(g))
+    idem = sqrt(weighted_norm_sq(fock_project_full_grid(Pu) - Pu, gauss))
+    return BoundReport(h1_lhs, h1_rhs, h1_lhs <= h1_rhs * (1.0 + slack), idem)
 
 
 def apply_T(v: Field, w) -> Field:

@@ -1,3 +1,4 @@
+import contextlib
 import sys
 import threading
 import tracemalloc
@@ -19,6 +20,7 @@ from dbarkit.solver import (
     support_radius,
     uniqueness_probe,
 )
+from oracles import check_hormander_bound_full_grid
 
 
 @pytest.fixture(scope="module")
@@ -312,6 +314,64 @@ def test_projection_series_matches_dense_kernel(member):
     assert gauss_norm(ps - pd) < 1e-10
 
 
+@pytest.mark.parametrize("n, radius", [(47, 6.0), (48, 3.7)])
+def test_projection_off_the_exact_turn_matches_dense_kernel(member, n, radius):
+    # an odd n has a centre node no turn of the quarter covers; at R = 3.7 the
+    # axis is not exactly antisymmetric, so a turned node is the stored one
+    # only up to rounding (3e-14 relative)
+    u = member.sample(build_grid(radius, n))
+    assert gauss_norm(fock_bergman_project(u) - fock_bergman_project_dense(u)) < 1e-10
+
+
+@pytest.mark.parametrize("n, radius", [(47, 6.0), (255, 6.0), (256, 3.7)])
+def test_projection_off_the_exact_turn_matches_term_by_term_series(member, n, radius):
+    u = member.sample(build_grid(radius, n))
+    ref = fock_bergman_project_loop(u)
+    assert gauss_norm(fock_bergman_project(u) - ref) < 1e-12 * gauss_norm(ref)
+
+
+def test_fock_series_length_from_its_tail_bound(member):
+    g = build_grid(6.0, 256)
+    zero = np.zeros((256, 256), dtype=complex)
+    assert solver._fock_terms(zero, g) == 0
+    u = member.sample(g)
+    K = solver._fock_terms(u.values, g)
+    # a constant spreads its weighted mass to the corners of the square, and
+    # a corner spike (|z|^2 = 70.6) needs more terms than the cap
+    corner = zero.copy()
+    corner[0, 0] = 1.0
+    assert 0 < K < solver._fock_terms(zero + 1.0, g) < solver.FOCK_TERMS
+    assert solver._fock_terms(corner, g) == solver.FOCK_TERMS
+    # the terms past K are within rounding of the weighted norm
+    ref = fock_bergman_project_loop(u)
+    assert gauss_norm(fock_bergman_project_loop(u, K) - ref) < 1e-16 * gauss_norm(ref)
+
+
+@pytest.mark.parametrize("n", [255, 256, 512])
+def test_bound_sides_match_the_full_grid_oracle(member, fock, n):
+    f = member.sample_dbar(build_grid(6.0, n))
+    ref = check_hormander_bound_full_grid(f, fock)
+    rep = check_hormander_bound(f, fock)
+    assert abs(rep.h1_lhs / ref.h1_lhs - 1.0) <= 1e-14
+    assert abs(rep.h1_rhs / ref.h1_rhs - 1.0) <= 1e-14
+    assert abs(rep.projection_idempotence_err - ref.projection_idempotence_err) <= 1e-15
+    assert rep.passes == ref.passes
+
+
+def test_bound_peak_memory(member, fock, monkeypatch):
+    # n = 1024 on two usable CPUs: 28.5 MiB (the spectral inverse's 16 MiB
+    # and each thread's block arrays), against 73.0 MiB over full-grid arrays
+    monkeypatch.setattr(grid, "_usable_cpus", lambda: 2)
+    f = member.sample_dbar(build_grid(6.0, 1024))
+    tracemalloc.start()
+    try:
+        check_hormander_bound(f, fock)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 36 * 2**20
+
+
 @pytest.mark.parametrize("datum", ["member", "spectral-inverse"])
 def test_projection_matches_term_by_term_series(grid_default, member, compliant, datum):
     u = member.sample(grid_default) if datum == "member" else dbar_invert_spectral(compliant)
@@ -320,39 +380,60 @@ def test_projection_matches_term_by_term_series(grid_default, member, compliant,
 
 
 @pytest.fixture(scope="module")
-def inverse512(member):
-    # eight row blocks of 64 rows: three CPUs give three threads
-    return dbar_invert_spectral(member.sample_dbar(build_grid(6.0, 512)))
+def inverse1024(member):
+    # the quarter's 512 rows make eight blocks of 64 rows: three CPUs give
+    # three threads (at n = 512 the quarter has two blocks)
+    return dbar_invert_spectral(member.sample_dbar(build_grid(6.0, 1024)))
 
 
 def _block_threads(monkeypatch):
-    """Wrap the block kernel so the test records the threads it ran on."""
+    """Wrap the coefficients' block kernel so the test records the threads it ran on."""
     seen = set()
-    kernel = solver._monomial_sums
+    kernel = solver._quarter_sums
 
     def recorded(*args):
         seen.add(threading.current_thread())  # idents are reused once a thread ends
         return kernel(*args)
 
-    monkeypatch.setattr(solver, "_monomial_sums", recorded)
+    monkeypatch.setattr(solver, "_quarter_sums", recorded)
     return seen
 
 
-def test_projection_is_bit_identical_for_any_cpu_count(inverse512, monkeypatch):
+@contextlib.contextmanager
+def _switching_often():
+    """Threads switch as often as they can inside the block."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_projection_is_bit_identical_for_any_cpu_count(inverse1024, monkeypatch):
     seen = _block_threads(monkeypatch)
     outs = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # threads switch as often as they can
-    try:
+    with _switching_often():
         for cpus in (1, 2, 3):
             monkeypatch.setattr(grid, "_usable_cpus", lambda c=cpus: c)
             seen.clear()
-            outs.append(fock_bergman_project(inverse512).values)
+            outs.append(fock_bergman_project(inverse1024).values)
             assert len(seen) == cpus
-    finally:
-        sys.setswitchinterval(interval)
     assert np.array_equal(outs[0], outs[1])
     assert np.array_equal(outs[0], outs[2])
+
+
+def test_bound_is_bit_identical_for_any_cpu_count(member, fock, monkeypatch):
+    seen = _block_threads(monkeypatch)
+    f = member.sample_dbar(build_grid(6.0, 1024))
+    reps = []
+    with _switching_often():
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(grid, "_usable_cpus", lambda c=cpus: c)
+            seen.clear()
+            reps.append(check_hormander_bound(f, fock))
+            assert len(seen) == cpus
+    assert reps[0] == reps[1] == reps[2]
 
 
 @pytest.mark.parametrize("radius", [19.0, 1e300])
@@ -365,6 +446,7 @@ def test_projection_guard_names_the_kernel_exponent(radius):
 
 
 def test_two_block_grid_stays_on_the_callers_thread(grid_default, member, monkeypatch):
+    # n = 256: two blocks of whole rows for the tail bound, one of the quarter
     seen = _block_threads(monkeypatch)
     monkeypatch.setattr(grid, "_usable_cpus", lambda: 4)
     fock_bergman_project(member.sample(grid_default))
@@ -372,37 +454,38 @@ def test_two_block_grid_stays_on_the_callers_thread(grid_default, member, monkey
 
 
 def test_projection_blocks_of_uneven_rows_match_the_series(member):
-    # 300 rows make blocks of 109, 109 and 82 rows
-    u = member.sample(build_grid(6.0, 300))
+    # the quarter's 300 rows of 300 nodes at n = 600 make blocks of 109, 109
+    # and 82 rows
+    u = member.sample(build_grid(6.0, 600))
     ref = fock_bergman_project_loop(u)
     assert gauss_norm(fock_bergman_project(u) - ref) < 1e-12 * gauss_norm(ref)
 
 
 @pytest.mark.parametrize("failing", [0, 5])  # a block of the caller's thread, one of a worker's
-def test_projection_block_failure_reaches_the_caller(inverse512, monkeypatch, failing):
+def test_projection_block_failure_reaches_the_caller(inverse1024, monkeypatch, failing):
     monkeypatch.setattr(grid, "_usable_cpus", lambda: 3)
-    kernel = solver._monomial_sums
-    first_x = inverse512.grid.axis[64 * failing]
+    kernel = solver._quarter_sums
+    first_row = 512 + 64 * failing  # the quarter starts at row n - n//2
 
-    def flaky(z, *args):
-        if z[0, 0].real == first_x:
+    def flaky(v, x, rows, *args):
+        if rows.start == first_row:
             raise RuntimeError(f"block {failing} failed")
-        return kernel(z, *args)
+        return kernel(v, x, rows, *args)
 
-    monkeypatch.setattr(solver, "_monomial_sums", flaky)
+    monkeypatch.setattr(solver, "_quarter_sums", flaky)
     baseline = threading.active_count()
     with pytest.raises(RuntimeError, match=f"block {failing} failed"):
-        fock_bergman_project(inverse512)
+        fock_bergman_project(inverse1024)
     assert threading.active_count() == baseline
 
 
-def test_projection_builds_no_node_array(inverse512, monkeypatch):
+def test_projection_builds_no_node_array(inverse1024, monkeypatch):
     def no_nodes(grid):
         raise AssertionError("Grid.nodes called")
 
     monkeypatch.setattr(Grid, "nodes", property(no_nodes))
     monkeypatch.setattr(grid, "_usable_cpus", lambda: 2)
-    assert np.all(np.isfinite(fock_bergman_project(inverse512).values))
+    assert np.all(np.isfinite(fock_bergman_project(inverse1024).values))
 
 
 def test_minimal_solution_bound(compliant, fock):
