@@ -14,6 +14,7 @@ import numpy as np
 from dbarkit import build_grid, fock_weight, verify_norm_identity
 from dbarkit.bumps import random_suite
 from dbarkit.diffops import dbar, interior_max
+from dbarkit.errors import InvalidArgumentError
 from dbarkit.solver import cauchy_transform
 
 
@@ -24,12 +25,20 @@ def main() -> None:
     ap.add_argument("--suite", type=int, default=5, help="number of bump fields")
     ap.add_argument("--seed", type=int, default=42)
     args = ap.parse_args()
+    if args.suite < 1:
+        ap.error(f"--suite must be at least 1, got {args.suite}")
+    if args.seed < 0:
+        ap.error(f"--seed must be non-negative, got {args.seed}")
+    try:
+        grids = [build_grid(args.radius, n) for n in args.sizes]
+    except InvalidArgumentError as e:
+        ap.error(str(e))
 
     suite = random_suite(args.suite, seed=args.seed)
     w = fock_weight(1.0)
     rows = []
-    for n in args.sizes:
-        g = build_grid(args.radius, n)
+    for g in grids:
+        n = g.n
         identity_err = max(
             verify_norm_identity(m.sample(g), w).rel_err for m in suite
         )

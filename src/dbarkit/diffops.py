@@ -32,7 +32,7 @@ def _dbar_symbol(k: np.ndarray, rows: slice) -> np.ndarray:
     return 0.5 * (1j * k[rows, None] - k[None, :])
 
 
-def _fft2(rows, shape, inverse=False, columns=None, out=None, lines=None) -> np.ndarray:
+def _fft2(rows, shape, inverse=False, columns=None, out=None) -> np.ndarray:
     """``np.fft.fft2`` (``ifft2`` if ``inverse``) to the bit, of the array of
     ``shape`` whose rows ``r`` (a slice) are ``rows(r)``, zero-padded on the right.
 
@@ -44,9 +44,6 @@ def _fft2(rows, shape, inverse=False, columns=None, out=None, lines=None) -> np.
     n = 512. The axis-0 pass runs on ``columns`` only (a slice, default all;
     ``slice(0)`` skips it); the other columns are left after the row pass.
     ``rows`` runs in the worker threads and may write into its rows of ``out``.
-    With ``lines`` (a slice) the other input rows are zero: the row pass covers
-    ``lines`` only, and the rows of ``out`` outside it, whose transforms are
-    zero, must hold zeros already.
     """
     m0, m1 = shape
     out = np.empty(shape, dtype=complex) if out is None else out
@@ -59,8 +56,7 @@ def _fft2(rows, shape, inverse=False, columns=None, out=None, lines=None) -> np.
     def column_pass(c):
         fft(out[:, c], axis=0, out=out[:, c])
 
-    lines = lines or slice(0, m0)
-    _map_blocks(row_pass, _line_blocks(lines.start, lines.stop, m1))
+    _map_blocks(row_pass, _line_blocks(0, m0, m1))
     _map_blocks(column_pass, _line_blocks(cols.start, cols.stop, m0))
     return out
 
@@ -89,13 +85,6 @@ def laplacian_hat(v: Field) -> Field:
     """Normalized Laplacian (d2_x + d2_y)/4 from the second-derivative symbols."""
     k = _wavenumbers(v.grid)
     return _spectral(v, lambda r: -0.25 * (k[r, None] ** 2 + k[None, :] ** 2))[0]
-
-
-def interior_mask(grid, band: int) -> np.ndarray:
-    """Boolean mask excluding the outer ``band`` rings."""
-    m = np.zeros((grid.n, grid.n), dtype=bool)
-    m[band : grid.n - band, band : grid.n - band] = True
-    return m
 
 
 def interior_max(v: Field, extra_band: int = 0) -> float:

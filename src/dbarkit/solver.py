@@ -14,15 +14,17 @@ symmetric about the target), evaluated as an FFT convolution on a 2n x 2n
 pad.  Error and residual are of order 2.0: for the seed-42 bump at R = 6 the
 sup error is 8.8e-2, 2.2e-2, 5.4e-3, 1.4e-3 at n = 128, 256, 512, 1024.
 The convolution runs on ``diffops._fft2``'s threaded row and column blocks
-and skips the work whose result is known or dropped; its bits are those of
-whole-array ``fft2``/``ifft2``.  One transform at n = 1024 takes about
-0.21-0.22 s on 2 vCPUs, against 0.22-0.27 s with the kernel divided out
-over every offset and the datum's rows all transformed, 0.30-0.33 s with
-two full pads and 0.86 s with the whole-array transforms.
+and skips the datum's zero rows and the dropped columns; its bits are those
+of whole-array ``fft2``/``ifft2``.  The kernel is one division over every
+offset.  One transform at n = 1024 takes about 0.22-0.24 s on 2 vCPUs,
+against 0.30-0.33 s with two full pads and 0.86 s with the whole-array
+transforms.
 
 The growing-weight bound (constant 1/2) and the classical bound via the
 Fock-space projection are evaluated on the datum's support disk, where both
-integrals agree with their plane counterparts for compliant data.
+integrals agree with their plane counterparts for compliant data.  The
+growing-weight bound and ``uniqueness_probe`` read each disk from its own
+square of axis lines (``grid._lines_within``), in the full grid's order.
 
 The Fock projection works on a quarter of the grid, by the square's
 symmetry z -> iz, and sums its series up to a degree K taken from the
@@ -43,7 +45,7 @@ from numpy.polynomial.polynomial import polyval
 
 from . import diffops
 from .errors import DynamicRangeError, InvalidArgumentError
-from .grid import Field, Grid, _line_blocks, _map_blocks, _nonzero_lines
+from .grid import Field, Grid, _line_blocks, _lines_within, _map_blocks, _nonzero_lines
 from .moments import MOMENT_J, _monomial_sums, moments
 from .weights import EXP_CAP, Weight, curvature_margin
 
@@ -100,13 +102,14 @@ def cauchy_transform(f: Field) -> Field:
     linear-convolution entry 3n-3, so none wraps around.
 
     The bits are those of ``ifft2(fft2(K, s) * fft2(f, s))`` at s = (2n, 2n),
-    with less work and memory: the kernel (``_cauchy_kernel``) is transformed
-    in place; the datum's row pass covers its rows from the first to the
-    last nonzero one (a zero row transforms to zeros), into a buffer of that
-    many rows by 2n; one pass over blocks of columns pads each block of the
-    datum to 2n rows in a scratch buffer, transforms it there and multiplies
-    it into the kernel's spectrum; the inverse runs in place, its column pass
-    on the n kept columns only.  At n = 1024 the spectra take 78 MB for the
+    with less work and memory: the kernel, one division over all offsets
+    (``_cauchy_kernel``), is transformed in place; the datum's row pass
+    covers its rows from the first to the last nonzero one (a zero row
+    transforms to zeros), into a buffer of that many rows by 2n; one pass
+    over blocks of columns pads each block of the datum to 2n rows in a
+    scratch buffer, transforms it there and multiplies it into the kernel's
+    spectrum; the inverse runs in place, its column pass on the n kept
+    columns only.  At n = 1024 the spectra take 78 MB for the
     seed-42 datum (424 nonzero rows), not the 128 MB of two full pads.
     """
     n, h = f.grid.n, f.grid.spacing
@@ -133,38 +136,16 @@ def cauchy_transform(f: Field) -> Field:
 def _cauchy_kernel(n: int, h: float) -> np.ndarray:
     """The 2n x 2n kernel array: (h/pi)/(j + i k) at row j + n - 1 and column
     k + n - 1 for offsets |j|, |k| < n, 0 at j = k = 0 and on the pad row and
-    column 2n - 1, each value bit for bit the division's.
-
-    The divisions run over the quadrant j, k >= 0 only, a block of rows |j|
-    at a time; K(j, -k) = conj K(j, k) and K(-j, -k) = -K(j, k) fill the rest
-    exactly, but for the signs of the zeros on the lines j = 0 and k = 0,
-    which are divided out apart."""
-    K = np.empty((2 * n, 2 * n), dtype=complex)
-    c = h / pi
-    k = np.arange(n, dtype=float)
-
-    def quadrant(r):  # rows j = r and -r of K
-        Q = k[r, None] + 1j * k
-        if r.start == 0:
-            Q[0, 0] = 1.0  # the centre, set to 0 with the lines below
-        np.divide(c, Q, out=Q)
-        pos = K[n - 1 + r.start : n - 1 + r.stop, : 2 * n - 1]
-        pos[:, n - 1 :] = Q
-        np.conj(Q[:, :0:-1], out=pos[:, : n - 1])
-        Q = Q[: 0 if r.start == 0 else None : -1]  # rows -j, ascending; j = 0 is done
-        neg = K[n - r.stop : n - max(r.start, 1), : 2 * n - 1]
-        np.negative(Q[:, :0:-1], out=neg[:, : n - 1])
-        np.conj(Q, out=neg[:, n - 1 :])
-        np.negative(neg[:, n - 1 :], out=neg[:, n - 1 :])
-
-    _map_blocks(quadrant, _line_blocks(0, n, 2 * n))
+    column 2n - 1; one division over blocks of rows."""
+    K = np.zeros((2 * n, 2 * n), dtype=complex)
     j = np.arange(1 - n, n, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):  # at the centre
-        K[n - 1, : 2 * n - 1] = c / (0.0 + 1j * j)
-        K[: 2 * n - 1, n - 1] = c / (j + 1j * 0.0)
+
+    def divide(r):
+        with np.errstate(divide="ignore", invalid="ignore"):  # at the centre
+            np.divide(h / pi, j[r, None] + 1j * j, out=K[r, : 2 * n - 1])
+
+    _map_blocks(divide, _line_blocks(0, 2 * n - 1, 2 * n))
     K[n - 1, n - 1] = 0.0
-    K[-1] = 0.0
-    K[:, -1] = 0.0
     return K
 
 
@@ -174,9 +155,7 @@ def dbar_invert_spectral(f: Field) -> Field:
     g = f.grid
     k = diffops._wavenumbers(g)
     shape = f.values.shape
-    # a zero row transforms to zeros: the row pass covers the datum's rows only
-    F = diffops._fft2(lambda r: f.values[r], shape, out=np.zeros(shape, dtype=complex),
-                      lines=_nonzero_lines(f.values, 1))
+    F = diffops._fft2(lambda r: f.values[r], shape)
 
     def spectrum(r):  # fft2(f) / symbol, zero mode removed
         sym = diffops._dbar_symbol(k, r)
@@ -189,7 +168,8 @@ def dbar_invert_spectral(f: Field) -> Field:
 
     # in place: a row block of F is read whole before its inverse overwrites it
     u = diffops._fft2(spectrum, shape, inverse=True, out=F)
-    u -= np.mean(u[~diffops.interior_mask(g, 2)])
+    # the outer two rings, in row-major order
+    u -= np.mean(np.concatenate((u[:2], u[2:-2, [0, 1, -2, -1]], u[-2:]), axis=None))
     return Field(g, u)
 
 
@@ -201,6 +181,8 @@ def solve_dbar(f: Field, w: Weight, slack: float = 0.01) -> SolutionReport:
     disk, so the restriction loses nothing while avoiding amplification of
     rounding noise by e^{2 phi} at the corners of the truncation square;
     e^{2 phi} is evaluated, and guarded against overflow, on that disk only.
+    The disk is read from its own square of axis lines, so no full-grid node
+    array or mask is made.
     When the normalized moments exceed ``MOMENT_REL_TOL`` the report carries
     the non-orthogonal-datum flag and the bound verdict is informational only.
     """
@@ -219,18 +201,25 @@ def solve_dbar(f: Field, w: Weight, slack: float = 0.01) -> SolutionReport:
     moment_rel_max = float(np.max(np.abs(mv.m) / (scale * max(l1, 1e-300))))
     flagged = moment_rel_max > MOMENT_REL_TOL
 
-    z = g.nodes
-    disk = np.abs(z) <= r_sup + 2.0 * h
-    e2phi = w.exp_phi(z[disk], 2.0)
-    lap = w.lap_hat_phi(z[disk])
-    ud, fd = u.values[disk], f.values[disk]
+    r_disk = r_sup + 2.0 * h
+    box = _lines_within(g.axis, r_disk)  # the disk's square
+    x = g.axis[box]
+    z = np.empty((x.size, x.size), dtype=complex)  # its nodes, as Grid.nodes builds them
+    z.real, z.imag = x[:, None], x
+    disk = np.abs(z) <= r_disk
+    zd = z[disk]
+    e2phi = w.exp_phi(zd, 2.0)
+    lap = w.lap_hat_phi(zd)
+    ud, fd = u.values[box, box][disk], f.values[box, box][disk]
     u2 = ud.real**2 + ud.imag**2
     f2 = fd.real**2 + fd.imag**2
     h2_lhs = 2.0 * float(h * h * np.sum(u2 * (e2phi * lap)))
     h2_rhs = float(h * h * np.sum(f2 * e2phi))
     h2_passes = h2_lhs <= h2_rhs * (1.0 + slack)
 
-    tail_mass = float(np.max(np.abs(u.values[~disk]))) if not np.all(disk) else 0.0
+    tail = np.abs(u.values)
+    tail[box, box][disk] = 0.0
+    tail_mass = float(np.max(tail))
 
     return SolutionReport(
         u=u,
@@ -505,19 +494,20 @@ def uniqueness_probe(g: Grid, w: Weight) -> list[dict]:
     which is why no second decaying solution can exist.  A multiple c z^p
     scales every energy by |c|^2 and leaves the growth ratio as it is.  The
     degrees share the per-grid work: the curvature check, the weight density
-    and the disk masks.
+    and each disk's mask over its own square of axis lines.
     """
     if not curvature_margin(w, g).passes:
         raise InvalidArgumentError("uniqueness probe requires a weight passing the curvature condition")
     Z, h = g.nodes, g.spacing
     density = w.exp_phi(Z, 2.0) * w.lap_hat_phi(Z)
     r = np.abs(Z)
-    disks = [r < rr for rr in UNIQUENESS_RADII]
+    boxes = [_lines_within(g.axis, rr) for rr in UNIQUENESS_RADII]
+    disks = [(box, r[box, box] < rr) for box, rr in zip(boxes, UNIQUENESS_RADII)]
     tables = []
     for d in UNIQUENESS_DEGREES:
         # |z^0|^2 = 1 and |z^1|^2 = r^2 bit for bit
         dens = density if d == 0 else r**2 * density if d == 1 else np.abs(Z**d) ** 2 * density
-        energies = [float(h * h * np.sum(dens[disk])) for disk in disks]
+        energies = [float(h * h * np.sum(dens[box, box][inside])) for box, inside in disks]
         first, last = energies[0], energies[-1]
         # None when the innermost disk holds no node but the outer ones carry
         # energy: the growth is real but has no finite ratio

@@ -16,6 +16,8 @@
 * ``norm_identity_terms`` and ``norm_identity_fields``: the norms and the
   two sides of the norm identity from ``dbar_and_del``, full-grid weight
   fields, products and ``weighted_norm_sq``.
+* ``solve_sides_full_grid``: ``solve_dbar``'s h2 sides and tail mass from
+  a full-grid node array and boolean masks of the support disk.
 * ``fock_project_full_grid`` and ``check_hormander_bound_full_grid``: the
   Fock projection over k = 0..``FOCK_TERMS`` on full-grid arrays, and the
   classical bound from it: two projections, the sides by ``weighted_norm_sq``.
@@ -38,7 +40,7 @@ from dbarkit.errors import InvalidArgumentError, TruncationMassWarning
 from dbarkit.grid import (FLOAT_FMT, Field, Grid, _ring_mask, boundary_mass,
                           warn_boundary_mass, weighted_norm_sq)
 from dbarkit.moments import MATCH_TOL, BargmannProbeReport, MomentVector, _monomial_sums
-from dbarkit.solver import FOCK_TERMS, BoundReport, dbar_invert_spectral
+from dbarkit.solver import FOCK_TERMS, BoundReport, dbar_invert_spectral, support_radius
 
 FD4_BAND = 2
 
@@ -124,6 +126,25 @@ def moments_gathered(f: Field, J: int) -> MomentVector:
     warn_boundary_mass(float(ring / peak) if peak else 0.0, threshold=1e-6,
                        context=f"moments up to J={J}")
     return MomentVector(J, _monomial_sums(z, a, J, g.spacing))
+
+
+def solve_sides_full_grid(f: Field, u: Field, w) -> tuple[float, float, float]:
+    """``solver.solve_dbar``'s (h2_lhs, h2_rhs, tail_mass) for the datum f and
+    its solution u, gathered through full-grid masks of the disk
+    |z| <= support_radius(f) + 2h."""
+    g = f.grid
+    h = g.spacing
+    z = g.nodes
+    disk = np.abs(z) <= support_radius(f) + 2.0 * h
+    e2phi = w.exp_phi(z[disk], 2.0)
+    lap = w.lap_hat_phi(z[disk])
+    ud, fd = u.values[disk], f.values[disk]
+    u2 = ud.real**2 + ud.imag**2
+    f2 = fd.real**2 + fd.imag**2
+    h2_lhs = 2.0 * float(h * h * np.sum(u2 * (e2phi * lap)))
+    h2_rhs = float(h * h * np.sum(f2 * e2phi))
+    tail_mass = float(np.max(np.abs(u.values[~disk]))) if not np.all(disk) else 0.0
+    return h2_lhs, h2_rhs, tail_mass
 
 
 def fock_project_full_grid(u: Field, terms: int = FOCK_TERMS) -> Field:
@@ -213,12 +234,19 @@ def kernel_check(g, w, grid: Grid) -> float:
     return diffops.interior_max(apply_Tstar(k, w), extra_band=2)
 
 
+def interior_mask(grid, band: int) -> np.ndarray:
+    """Boolean mask excluding the outer ``band`` rings."""
+    m = np.zeros((grid.n, grid.n), dtype=bool)
+    m[band : grid.n - band, band : grid.n - band] = True
+    return m
+
+
 def fd4_curvature_margin(w, grid: Grid, lap_scale: float = 1.0) -> np.ndarray:
     """The curvature margin from the fd4 Laplacian of log(lap_scale * lap_hat), 0 on
     the outer ``FD4_BAND`` rings; fd4, as that log need not vanish at the boundary."""
     lap = w.sample_lap_hat(grid)
     num = fd4_laplacian_hat(Field(grid, np.log(lap_scale * lap).astype(complex)))
-    mask = diffops.interior_mask(grid, FD4_BAND)
+    mask = interior_mask(grid, FD4_BAND)
     margin = np.zeros((grid.n, grid.n))
     margin[mask] = np.real(num.values[mask]) / lap[mask] + 2.0
     return margin

@@ -335,6 +335,9 @@ def _random_argv():
     )
 
 
+# random grids and weights truncate often: the warnings are expected here
+@pytest.mark.filterwarnings("ignore::dbarkit.errors.BoundaryMassWarning",
+                            "ignore::dbarkit.errors.TruncationMassWarning")
 @settings(max_examples=40, deadline=None)
 @given(_random_argv())
 def test_random_configurations_exit_cleanly(drawn):

@@ -23,6 +23,29 @@ def test_script_exits_zero(argv):
     assert proc.stdout
 
 
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["convergence_study.py", "--sizes", "4"], "4"),
+        (["convergence_study.py", "--suite", "0"], "0"),
+        (["convergence_study.py", "--radius", "-1"], "-1"),
+        (["convergence_study.py", "--seed", "-3"], "-3"),
+        (["bargmann_sweep.py", "--a-min", "0.5"], "0.5"),
+        (["bargmann_sweep.py", "--beta", "0"], "0"),
+        (["bargmann_sweep.py", "--steps", "-2"], "-2"),
+        (["bargmann_sweep.py", "--a-min", "1.0000000001"], "1e-10"),
+    ],
+)
+def test_script_rejects_bad_values(argv, bad):
+    # an argparse error: exit 2, one error line naming the value
+    proc = _run_script(argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and bad in errors[0]
+    assert proc.stdout == ""
+
+
 def test_bargmann_sweep_near_the_convergence_edge():
     proc = _run_script(["bargmann_sweep.py", "--a-min", "1.02", "--a-max", "4",
                         "--steps", "12"])

@@ -20,7 +20,7 @@ from dbarkit.solver import (
     support_radius,
     uniqueness_probe,
 )
-from oracles import check_hormander_bound_full_grid
+from oracles import check_hormander_bound_full_grid, solve_sides_full_grid
 
 
 @pytest.fixture(scope="module")
@@ -245,6 +245,20 @@ def test_solve_guards_e2phi_on_support_disk_only(member):
     assert not rep.non_orthogonal_datum
     with pytest.raises(DynamicRangeError):
         uniqueness_probe(g, w)
+
+
+@pytest.mark.parametrize("n, radius", [(9, 6.0), (255, 6.0), (256, 6.0), (256, 3.7)])
+def test_solve_walks_the_support_disk_from_its_own_lines(member, fock, monkeypatch, n, radius):
+    # the disk's square of axis lines gathers what a full-grid mask does, in
+    # the same order, so the sides and the tail mass match it to the bit; at
+    # R = 3.7 the axis is not exactly antisymmetric
+    f = member.sample_dbar(build_grid(radius, n))
+    with monkeypatch.context() as m:
+        m.setattr(Grid, "nodes", property(lambda g: pytest.fail("Grid.nodes called")))
+        rep = solve_dbar(f, fock)
+    ref = solve_sides_full_grid(f, rep.u, fock)
+    got = (rep.h2_lhs, rep.h2_rhs, rep.tail_mass)
+    assert np.array_equal(np.array(got).view(np.int64), np.array(ref).view(np.int64))
 
 
 def test_gaussian_datum_is_flagged(grid_default, gaussian_field, fock):
@@ -517,12 +531,15 @@ def test_uniqueness_probe_energies_blow_up(grid_default, fock, p):
     assert d["growth_ratio"] > 1e3
 
 
-def test_uniqueness_probe_degrees_share_one_call(grid_default, fock):
-    # each degree's table is that of its own pass over the grid, to the bit
-    tables = uniqueness_probe(grid_default, fock)
+@pytest.mark.parametrize("n, radius", [(256, 6.0), (255, 6.0), (256, 3.7)])
+def test_uniqueness_probe_degrees_share_one_call(fock, n, radius):
+    # each degree's table is that of its own pass over the grid's disk masks,
+    # to the bit
+    g = build_grid(radius, n)
+    tables = uniqueness_probe(g, fock)
     assert [t["p"] for t in tables] == list(solver.UNIQUENESS_DEGREES)
-    Z, h = grid_default.nodes, grid_default.spacing
-    density = fock.exp_phi(Z, 2.0) * fock.sample_lap_hat(grid_default)
+    Z, h = g.nodes, g.spacing
+    density = fock.exp_phi(Z, 2.0) * fock.sample_lap_hat(g)
     for p, table in zip(solver.UNIQUENESS_DEGREES, tables):
         dens = np.abs(Z**p) ** 2 * density
         energies = [float(h * h * np.sum(dens[np.abs(Z) < r])) for r in solver.UNIQUENESS_RADII]

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from dbarkit import build_grid, curvature_margin, custom_weight, fock_weight, sample
-from dbarkit.diffops import interior_mask
 from dbarkit.errors import DynamicRangeError, InvalidArgumentError, WeightInvariantViolationError
 from dbarkit.weights import CATALOG_PARAMS, EXP_CAP
-from oracles import FD4_BAND, fd4_curvature_margin, fd4_laplacian_hat
+from oracles import FD4_BAND, fd4_curvature_margin, fd4_laplacian_hat, interior_mask
 
 CATALOG = [
     {"name": "fock", "t": 1.0},
