@@ -4,7 +4,8 @@
 Three columns per n: the worst norm-identity relative error over a seeded
 bump suite, the sup error of the Cauchy-transform solution against the field
 whose derivative was used as the datum, and the sup residual of that
-solution.  Orders are estimated from consecutive rows.
+solution.  Orders are estimated from consecutive rows, per doubling of n,
+so the sizes must increase strictly.
 """
 
 import argparse
@@ -29,6 +30,9 @@ def main() -> None:
         ap.error(f"--suite must be at least 1, got {args.suite}")
     if args.seed < 0:
         ap.error(f"--seed must be non-negative, got {args.seed}")
+    for prev, n in zip(args.sizes, args.sizes[1:]):
+        if n <= prev:
+            ap.error(f"--sizes must increase strictly, got {n} after {prev}")
     try:
         grids = [build_grid(args.radius, n) for n in args.sizes]
     except InvalidArgumentError as e:
@@ -55,8 +59,10 @@ def main() -> None:
         if i == 0:
             print(f"{n:>6} {ie:>14.3e} {se:>12.3e} {re_:>12.3e} {'-':>9} {'-':>9}")
         else:
-            po = np.log2(rows[i - 1][2] / se)
-            pr = np.log2(rows[i - 1][3] / re_)
+            # per doubling of n, so sizes need not double
+            doublings = np.log2(n / rows[i - 1][0])
+            po = np.log2(rows[i - 1][2] / se) / doublings
+            pr = np.log2(rows[i - 1][3] / re_) / doublings
             print(f"{n:>6} {ie:>14.3e} {se:>12.3e} {re_:>12.3e} {po:>9.2f} {pr:>9.2f}")
 
 

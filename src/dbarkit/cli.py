@@ -29,12 +29,13 @@ from pathlib import Path
 import numpy as np
 
 from . import identity, solver
-from .moments import MATCH_TOL, MOMENT_J, bargmann_probe, diagonal_restriction
+from .moments import (MATCH_TOL, MOMENT_J, DiagonalSeries, MomentVector, _l1_norm,
+                      bargmann_probe, diagonal_restriction)
 from .moments import moments as compute_moments
 from .bumps import random_suite
 from .errors import (ConfigError, DynamicRangeError, InvalidArgumentError, SamplingError,
                      WeightInvariantViolationError)
-from .grid import Field, build_grid, sample, write_field_csv
+from .grid import Field, Grid, build_grid, sample, write_field_csv
 from .weights import MARGIN_TOL, curvature_margin, custom_weight, fock_weight
 
 DEFAULT_CONFIG = {
@@ -159,24 +160,48 @@ def _grid(cfg, n_min=0):
     return build_grid(cfg["grid"]["radius"], max(cfg["grid"]["n"], n_min))
 
 
+@dataclasses.dataclass(frozen=True)
+class Reduction:
+    """What the moment-grid pipelines read of one datum."""
+
+    moments: MomentVector       # up to MOMENT_J
+    l1: float                   # h^2 sum |f|
+    diagonal: DiagonalSeries | None  # None unless the run includes ``diagonal``
+
+
 class RunMemo(dict):
     """What one run samples and reduces once for all its pipelines, made on
     first use: ``memo[name, grid]`` is the datum ``FIELDS[name]`` on ``grid``
-    for the run's seed, and ``memo[name, grid, J]`` its moments up to J."""
+    for the run's seed, and ``memo.reduced(name, grid)`` its ``Reduction``.
+
+    A reduction reuses the datum if a pipeline has asked for it already, and
+    otherwise samples it and drops it once reduced, so the moment checks'
+    two n = 1024 data are never alive together.  It holds the diagonal
+    restriction only when ``pipelines`` names ``diagonal``: a run of
+    ``moments`` alone leaves ``fourier2`` and its exponent cap out."""
 
     # dbar of the seed's first suite member (orthogonal to entire functions)
     # and e^{-|z|^2}, whose m_0 and diagonal restriction are pi
     FIELDS = {"compliant": lambda seed, grid: random_suite(1, seed)[0].sample_dbar(grid),
               "gaussian": lambda seed, grid: sample(lambda z: np.exp(-np.abs(z) ** 2), grid)}
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, pipelines=()):
         super().__init__()
         self.seed = seed
+        self.diagonal = "diagonal" in pipelines
 
     def __missing__(self, key):
-        name, grid, *J = key
-        self[key] = (compute_moments(self[name, grid], *J) if J
-                     else self.FIELDS[name](self.seed, grid))
+        name, grid = key
+        self[key] = self.FIELDS[name](self.seed, grid)
+        return self[key]
+
+    def reduced(self, name: str, grid: Grid) -> Reduction:
+        key = name, grid, Reduction
+        if key not in self:
+            f = self[name, grid] if (name, grid) in self else self.FIELDS[name](self.seed, grid)
+            mv = compute_moments(f, MOMENT_J)
+            self[key] = Reduction(mv, _l1_norm(f),
+                                  diagonal_restriction(f, mv) if self.diagonal else None)
         return self[key]
 
 
@@ -236,13 +261,12 @@ def pipe_sharpness(cfg, memo):
 
 def pipe_moments(cfg, memo):
     grid = _grid(cfg, MOMENT_GRID_N)
-    f = memo["compliant", grid]
     tol = cfg["tolerances"]["moment_abs"]
-    mv = memo["compliant", grid, MOMENT_J]
-    l1 = float(grid.spacing * grid.spacing * np.sum(np.abs(f.values)))
+    compliant = memo.reduced("compliant", grid)
+    mv, l1 = compliant.moments, compliant.l1
     worst = float(np.max(np.abs(mv.m))) / l1 if l1 else None
     # m_0 does not depend on J: it is the plain sum of the datum
-    m0 = memo["gaussian", grid, MOMENT_J].m[0]
+    m0 = memo.reduced("gaussian", grid).moments.m[0]
     return [
         _check("moments-compliant", worst is not None and worst < tol, worst, tol, tol),
         _check("moments-gaussian-m0-pi", abs(m0 - pi) < 1e-8, abs(m0), pi, 1e-8,
@@ -256,9 +280,9 @@ def pipe_moments(cfg, memo):
 
 def pipe_diagonal(cfg, memo):
     grid = _grid(cfg, MOMENT_GRID_N)
-    ds = diagonal_restriction(memo["compliant", grid], memo["compliant", grid, MOMENT_J])
+    ds = memo.reduced("compliant", grid).diagonal
     worst = float(np.max(np.abs(ds.values)))
-    dg = diagonal_restriction(memo["gaussian", grid], memo["gaussian", grid, MOMENT_J])
+    dg = memo.reduced("gaussian", grid).diagonal
     dev = float(np.max(np.abs(dg.values - pi)))
     return [
         _check("diagonal-compliant-vanishes", worst < 1e-7, worst, 1e-7, 1e-7),
@@ -322,14 +346,17 @@ def run(cfg: dict, subcommand: str) -> dict:
 
     ``_csv`` maps ``<pipeline>_<stem>`` to a ``Field`` or to CSV text.
     ``_timings`` maps each pipeline to its wall time in ms, which the report
-    itself never holds.  The pipelines share one ``RunMemo``, so a datum's
-    sampling and moments count towards the first pipeline that asks for them.
+    itself never holds.  The pipelines share one ``RunMemo`` made for
+    ``names``, so a datum's sampling and its reduction count towards the
+    first pipeline that asks for them: in ``all``, ``moments`` takes the
+    moment-grid data's diagonal restrictions too, and ``diagonal`` only
+    reads them.
     """
     if subcommand != "all" and subcommand not in PIPELINES:
         raise InvalidArgumentError(f"unknown subcommand {subcommand!r}")
     names = list(PIPELINES) if subcommand == "all" else [subcommand]
     all_checks, details, csv, timings = [], {}, {}, {}
-    memo = RunMemo(cfg["seed"])
+    memo = RunMemo(cfg["seed"], names)
     for name in names:
         t0 = time.perf_counter()
         checks, extra = PIPELINES[name](cfg, memo)

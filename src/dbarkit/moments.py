@@ -61,17 +61,30 @@ def _monomial_sums(z: np.ndarray, a: np.ndarray, J: int, h: float) -> np.ndarray
     return out
 
 
-def _pairwise_sum(leaf, lo: int, hi: int, size: int = BLOCK_NODES):
+def _pairwise_sum(leaf, lo: int, hi: int, size: int = BLOCK_NODES, width: int = 2):
     """``leaf(lo', hi')`` over runs of ``range(lo, hi)`` of at most ``size``
-    items, added along the tree of numpy's complex pairwise ``np.sum``, which
-    over N > 64 values adds the sums of the first (N - N mod 8) / 2 and of the
-    rest (Higham 1993, SIAM J. Sci. Comput. 14(4)): for ``size`` >= 64 and
-    ``leaf`` an ``np.sum`` over its run, this is ``np.sum`` to the bit."""
+    items, added along the tree of numpy's pairwise ``np.sum``, which over
+    c > 128 floats adds the sums of the first c/2 floats, rounded down to a
+    multiple of 8, and of the rest (Higham 1993, SIAM J. Sci. Comput. 14(4)).
+    An item is ``width`` floats: 2 for complex values, 1 for real ones.  For
+    ``size * width`` >= 128 and ``leaf`` an ``np.sum`` over its run, this is
+    ``np.sum`` to the bit."""
     count = hi - lo
     if count <= size:
         return leaf(lo, hi)
-    mid = lo + (count - count % 8) // 2
-    return _pairwise_sum(leaf, lo, mid, size) + _pairwise_sum(leaf, mid, hi, size)
+    half = width * count // 2
+    mid = lo + (half - half % 8) // width
+    return (_pairwise_sum(leaf, lo, mid, size, width)
+            + _pairwise_sum(leaf, mid, hi, size, width))
+
+
+def _l1_norm(f: Field) -> float:
+    """h^2 sum |f|, the bits of ``h * h * np.sum(np.abs(f.values))`` from one
+    ``BLOCK_NODES`` run of magnitudes at a time instead of a full-grid copy."""
+    flat = f.values.reshape(-1)
+    total = _pairwise_sum(lambda lo, hi: np.sum(np.abs(flat[lo:hi])), 0, flat.size, width=1)
+    h = f.grid.spacing
+    return float(h * h * total)
 
 
 def moments(f: Field, J: int) -> MomentVector:

@@ -46,7 +46,7 @@ from numpy.polynomial.polynomial import polyval
 from . import diffops
 from .errors import DynamicRangeError, InvalidArgumentError
 from .grid import Field, Grid, _line_blocks, _lines_within, _map_blocks, _nonzero_lines
-from .moments import MOMENT_J, _monomial_sums, moments
+from .moments import MOMENT_J, _l1_norm, _monomial_sums, moments
 from .weights import EXP_CAP, Weight, curvature_margin
 
 # a node holds significant mass when |f| there exceeds this fraction of its peak
@@ -196,7 +196,7 @@ def solve_dbar(f: Field, w: Weight, slack: float = 0.01) -> SolutionReport:
     moment_max = float(np.max(np.abs(mv.m)))
     r_sup = support_radius(f)
     h = g.spacing
-    l1 = float(h * h * np.sum(np.abs(f.values)))
+    l1 = _l1_norm(f)
     scale = np.array([max(1.0, r_sup) ** j for j in range(MOMENT_J + 1)])
     moment_rel_max = float(np.max(np.abs(mv.m) / (scale * max(l1, 1e-300))))
     flagged = moment_rel_max > MOMENT_REL_TOL

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dbarkit import solver
+from dbarkit import build_grid, solver
 from dbarkit.cli import DEFAULT_CONFIG, build_parser, emit_report, load_config, main, run
 from dbarkit.errors import ConfigError
 from dbarkit.moments import MATCH_TOL, MOMENT_J
@@ -415,9 +416,9 @@ def test_run_curvature_fails_for_degenerate_weight():
 
 
 @pytest.fixture(scope="module")
-def counted_all_run():
-    """One in-process ``run(cfg, "all")`` at the defaults: the grids
-    ``sample_dbar`` was called on and the (field, J) of every moments call."""
+def all_run():
+    """One in-process ``run(cfg, "all")`` at the defaults: its result, the
+    grids ``sample_dbar`` was called on and the (field, J) of every moments call."""
     from dbarkit.bumps import BumpPoly
 
     # the package's ``moments`` is the function, so the modules come by name
@@ -438,8 +439,15 @@ def counted_all_run():
         mp.setattr(BumpPoly, "sample_dbar", counted_sample_dbar)
         for module, name in ((mom, "moments"), (solver, "moments"), (cli, "compute_moments")):
             mp.setattr(module, name, counted_moments)
-        assert run(load_config(), "all")["overall"]
-    return grids, [(id(f), f.grid.n, J) for f, J in calls]
+        result = run(load_config(), "all")
+    assert result["overall"]
+    return result, grids, [(id(f), f.grid.n, J) for f, J in calls]
+
+
+@pytest.fixture(scope="module")
+def counted_all_run(all_run):
+    """The grids and moments calls of ``all_run``."""
+    return all_run[1:]
 
 
 def test_all_samples_the_compliant_datum_once_per_grid(counted_all_run):
@@ -453,6 +461,57 @@ def test_all_takes_each_moment_vector_once(counted_all_run):
     # solve's and sharpness's data at n = 256, the compliant datum and the
     # Gaussian at 1024 (without the memo the last two are taken twice each)
     assert sorted((n, J) for _, n, J in calls) == [(256, MOMENT_J)] * 2 + [(1024, MOMENT_J)] * 2
+
+
+def _parts(result, name):
+    """The checks, details and CSV dumps of pipeline ``name`` in ``result``,
+    as JSON text, so floats compare bit for bit."""
+    return json.dumps([[c for c in result["checks"] if c["name"].startswith(f"{name}-")],
+                       result["details"].get(name),
+                       {k: v for k, v in result["_csv"].items() if k.startswith(f"{name}_")}],
+                      sort_keys=True)
+
+
+def test_diagonal_alone_reads_what_all_reads(all_run):
+    # in ``all`` the diagonal restrictions are taken in ``moments``' reduction
+    every, _, _ = all_run
+    alone = run(load_config(), "diagonal")
+    assert _parts(alone, "diagonal") == _parts(every, "diagonal")
+
+
+def test_moments_alone_takes_no_diagonal(monkeypatch, all_run):
+    cli = importlib.import_module("dbarkit.cli")
+    calls = []
+    monkeypatch.setattr(cli, "diagonal_restriction", lambda *a: calls.append(a))
+    alone = run(load_config(), "moments")
+    assert calls == []
+    assert _parts(alone, "moments") == _parts(all_run[0], "moments")
+
+
+def test_memo_keeps_a_reduction_but_not_the_datum_it_sampled():
+    cli = importlib.import_module("dbarkit.cli")
+    grid = build_grid(6.0, 64)
+    memo = cli.RunMemo(42, ["solve", "diagonal"])
+    gaussian = memo.reduced("gaussian", grid)
+    assert ("gaussian", grid) not in memo and memo.reduced("gaussian", grid) is gaussian
+    f = memo["compliant", grid]
+    memo.FIELDS = {}  # a second sampling would raise KeyError
+    compliant = memo.reduced("compliant", grid)
+    assert memo["compliant", grid] is f
+    assert compliant.l1 > 0 and compliant.diagonal is not None
+    assert cli.RunMemo(42, ["moments"]).reduced("compliant", grid).diagonal is None
+
+
+def test_all_holds_one_moment_grid_datum_at_a_time():
+    # one n = 1024 datum and its streamed reductions peak at 23.2 MiB; a memo
+    # that keeps both data to the end and copies |f| for the L1 norm, 39.2 MiB
+    tracemalloc.start()
+    try:
+        assert run(load_config(), "all")["overall"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 28 * 2**20
 
 
 def test_config_file_sequential_stands_without_flag(tmp_path):

@@ -12,6 +12,7 @@ from dbarkit.errors import BoundaryMassWarning, DynamicRangeError, InvalidArgume
 from dbarkit.grid import BLOCK_NODES, Field, boundary_mass
 from dbarkit.moments import (
     MOMENT_J,
+    _l1_norm,
     _pairwise_sum,
     _probe_rules,
     bargmann_probe,
@@ -161,6 +162,28 @@ def test_pairwise_tree_is_numpys_sum(count, size):
     v = v + 1j * rng.standard_normal(count) * 10.0 ** rng.uniform(-8, 8, count)
     got = _pairwise_sum(lambda lo, hi: np.sum(v[lo:hi]), 0, count, size)
     assert got == np.sum(v)
+
+
+@pytest.mark.parametrize("size", [128, BLOCK_NODES])
+@pytest.mark.parametrize("count", [1, 8, 9, 129, *range(255, 259), 34969, 65024, 65025])
+def test_pairwise_tree_is_numpys_real_sum(count, size):
+    # numpy splits a real sum at half its count rounded down to a multiple
+    # of 8, a complex one at half of that rounding of its count
+    rng = np.random.default_rng(count)
+    v = rng.standard_normal(count) * 10.0 ** rng.uniform(-8, 8, count)
+    got = _pairwise_sum(lambda lo, hi: np.sum(v[lo:hi]), 0, count, size, width=1)
+    assert got == np.sum(v)
+
+
+@pytest.mark.parametrize("n", [9, 187, 255, 1024])
+def test_l1_norm_is_the_full_grid_sum(n):
+    # n = 187 (n^2 = 34969, 9 mod 16) is where the complex tree would differ
+    g = build_grid(6.0, n)
+    for f in (random_suite(1, 42)[0].sample_dbar(g),
+              sample(lambda z: -z * np.exp(-np.abs(z) ** 2), g),
+              sample(lambda z: np.exp(-np.abs(z) ** 2), g)):
+        h = g.spacing
+        assert _l1_norm(f) == float(h * h * np.sum(np.abs(f.values)))
 
 
 def _traced_peak_mib(fn):

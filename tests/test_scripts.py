@@ -34,6 +34,7 @@ def test_script_exits_zero(argv):
         (["bargmann_sweep.py", "--beta", "0"], "0"),
         (["bargmann_sweep.py", "--steps", "-2"], "-2"),
         (["bargmann_sweep.py", "--a-min", "1.0000000001"], "1e-10"),
+        (["convergence_study.py", "--sizes", "64", "32"], "32"),
     ],
 )
 def test_script_rejects_bad_values(argv, bad):
@@ -44,6 +45,22 @@ def test_script_rejects_bad_values(argv, bad):
     errors = [line for line in proc.stderr.splitlines() if "error:" in line]
     assert len(errors) == 1 and bad in errors[0]
     assert proc.stdout == ""
+
+
+def test_convergence_orders_are_per_doubling():
+    # an order over two doublings is the mean of the two single-step orders
+    def orders(*sizes):
+        proc = _run_script(["convergence_study.py", "--suite", "1",
+                            "--sizes", *map(str, sizes)])
+        assert proc.returncode == 0, proc.stderr
+        return [[float(v) for v in row.split()[-2:]]
+                for row in proc.stdout.splitlines()[2:]]
+
+    (skip,) = orders(32, 128)
+    steps = orders(32, 64, 128)
+    for col in (0, 1):
+        # each printed to two decimals
+        assert skip[col] == pytest.approx((steps[0][col] + steps[1][col]) / 2, abs=0.015)
 
 
 def test_bargmann_sweep_near_the_convergence_edge():
