@@ -461,7 +461,11 @@ def main(argv=None) -> int:
             p.rmdir()
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    emit_report(result, cfg)
+    try:
+        emit_report(result, cfg)
+    except OSError as e:  # a report path that is a directory, say
+        print(f"config error: cannot write report: {e}", file=sys.stderr)
+        return 2
     for c in result["checks"]:
         tag = "PASS" if c["passes"] else ("info" if c["informational"] else "FAIL")
         measured = "none" if c["measured"] is None else f"{c['measured']:.6g}"

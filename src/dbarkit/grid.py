@@ -62,11 +62,15 @@ class Grid:
     @property
     def nodes(self) -> np.ndarray:
         """Complex node array of shape (n, n); axis 0 is x, axis 1 is y."""
-        x = self.axis
-        z = np.empty((self.n, self.n), dtype=complex)
-        z.real = x[:, None]
-        z.imag = x[None, :]
-        return z
+        return _nodes(self.axis[:, None], self.axis)
+
+
+def _nodes(x, y) -> np.ndarray:
+    """The complex nodes x + iy, ``x`` and ``y`` broadcast: the one place node
+    parts are assigned, so a node has the same bits wherever it is made."""
+    z = np.empty(np.broadcast_shapes(np.shape(x), np.shape(y)), dtype=complex)
+    z.real, z.imag = x, y
+    return z
 
 
 @dataclass(frozen=True)
@@ -129,8 +133,7 @@ def sample(fn, grid: Grid, inside=None) -> Field:
     x = grid.axis
     out = np.zeros((grid.n, grid.n), dtype=complex)
     for r in _line_blocks(0, grid.n, grid.n):
-        z = np.empty((r.stop - r.start, grid.n), dtype=complex)  # as Grid.nodes builds it
-        z.real, z.imag = x[r, None], x
+        z = _nodes(x[r, None], x)
         m = ... if inside is None else inside(r)
         out[r][m] = fn(z[m])
     return Field(grid, out)
@@ -145,7 +148,13 @@ def weighted_norm_sq(v: Field, w) -> float:
             or (np.iscomplexobj(wv) and np.any(np.imag(wv) != 0))):
         raise InvalidWeightError("quadrature weight must be strictly positive, finite and real")
     h = v.grid.spacing
-    return float(h * h * np.sum((v.values.real**2 + v.values.imag**2) * wr))
+    return float(h * h * _abs2_sum(v.values, wr))
+
+
+def _abs2_sum(b: np.ndarray, weight=None):
+    """np.sum of |b|^2, times ``weight`` if given."""
+    b2 = b.real**2 + b.imag**2
+    return np.sum(b2 if weight is None else b2 * weight)
 
 
 def boundary_mass(v: Field) -> float:
@@ -260,14 +269,19 @@ def _nonzero_lines(a: np.ndarray, axis: int) -> slice:
     return slice(int(hit[0]), int(hit[-1]) + 1) if hit.size else slice(0, 0)
 
 
-def _lines_within(x: np.ndarray, r: float) -> slice:
-    """The lines of the ascending axis ``x`` with |x| <= r, as a slice.
-
-    The square ``box, box`` holds every node with |z| <= r: a faithfully
-    rounded |z| is never below |x| or |y|.  So ``a[box, box][inside]``, with
-    ``inside`` the disk's mask over the square, is the full grid's
+def _disk(g: Grid, r: float):
+    """The nodes of ``g`` with |z| <= r as (box, inside, z, |z|): ``box`` slices
+    the axis lines with |x| <= r, ``inside`` is the disk's mask over the square
+    ``box, box``, and z and |z| are the disk's nodes and moduli in row-major
+    order.  The square holds the whole disk, as a faithfully rounded |z| is
+    never below |x| or |y|; so ``a[box, box][inside]`` is the full grid's
     ``a[disk]``, in the same order."""
-    return slice(int(np.searchsorted(x, -r, "left")), int(np.searchsorted(x, r, "right")))
+    x = g.axis
+    box = slice(int(np.searchsorted(x, -r, "left")), int(np.searchsorted(x, r, "right")))
+    z = _nodes(x[box, None], x[box])
+    mod = np.abs(z)
+    inside = mod <= r
+    return box, inside, z[inside], mod[inside]
 
 
 def _map_blocks(fn, blocks: list) -> list:

@@ -39,8 +39,8 @@ import numpy as np
 
 from . import diffops
 from .errors import DynamicRangeError, SamplingError
-from .grid import (Field, _line_blocks, _map_blocks, _nonzero_lines, boundary_mass,
-                   warn_boundary_mass)
+from .grid import (Field, _abs2_sum, _line_blocks, _map_blocks, _nodes, _nonzero_lines,
+                   boundary_mass, warn_boundary_mass)
 from .weights import Weight
 
 REL_ERR_FLOOR = 1e-30
@@ -72,7 +72,6 @@ def verify_norm_identity(v: Field, w: Weight, rel_tol: float = 1e-6) -> Identity
     trivial = w.is_trivial()
     g = v.grid
     x, n = g.axis, g.n
-    iy = 1j * x
     rows, cols = _nonzero_lines(v.values, 1), _nonzero_lines(v.values, 0)
     box = v.values[rows, cols]
     nr, nc = box.shape
@@ -99,7 +98,7 @@ def verify_norm_identity(v: Field, w: Weight, rel_tol: float = 1e-6) -> Identity
         # errstate is per thread; non-finite values are reported below instead
         with np.errstate(over="ignore", invalid="ignore"):
             if not trivial:
-                z = x[r, None] + iy
+                z = _nodes(x[r, None], x)
                 d = np.broadcast_to(np.asarray(w.dphi(z), dtype=complex), z.shape)
                 lap = np.broadcast_to(np.asarray(w.lap_hat_phi(z), dtype=complex), z.shape)
                 bad = [_first_non_finite(f, r.start * n) for f in (d, lap)]
@@ -168,12 +167,6 @@ def _to_del(d: np.ndarray, q, first: int = 0):
         q2 = 2.0 * np.asarray(q)[:, None]
         d[:, first % 2::2] -= q2
         d[:, 1 - first % 2::2] += q2
-
-
-def _abs2_sum(b: np.ndarray, weight=None):
-    """np.sum of |b|^2, times ``weight`` if given."""
-    b2 = b.real**2 + b.imag**2
-    return np.sum(b2 if weight is None else b2 * weight)
 
 
 def _first_non_finite(f: np.ndarray, offset: int):

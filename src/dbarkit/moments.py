@@ -18,7 +18,8 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .errors import DynamicRangeError, InvalidArgumentError, TruncationMassWarning
-from .grid import BLOCK_NODES, FLOAT_FMT, Field, _nonzero_lines, _ring_mask, warn_boundary_mass
+from .grid import (BLOCK_NODES, FLOAT_FMT, Field, _nodes, _nonzero_lines, _ring_mask,
+                   warn_boundary_mass)
 
 IM_EXPONENT_CAP = 30.0
 # the moments m_0..m_J that the solver and the moment checks take
@@ -50,14 +51,14 @@ class DiagonalSeries:
         return "\n".join(lines) + "\n"
 
 
-def _monomial_sums(z: np.ndarray, a: np.ndarray, J: int, h: float) -> np.ndarray:
-    """h^2 sum(z^j a) for j = 0..J, multiplying one copy of ``a`` by ``z`` in place."""
+def _monomial_sums(z: np.ndarray, a: np.ndarray, J: int) -> np.ndarray:
+    """sum(z^j a) for j = 0..J, multiplying one copy of ``a`` by ``z`` in place."""
     work = np.array(a, dtype=complex)
     out = np.empty(J + 1, dtype=complex)
     for j in range(J + 1):
         if j:
             work *= z
-        out[j] = h * h * np.sum(work)
+        out[j] = np.sum(work)
     return out
 
 
@@ -109,14 +110,13 @@ def moments(f: Field, J: int) -> MomentVector:
         r0, r1 = np.searchsorted(row_start, lo, "right") - 1, np.searchsorted(row_start, hi)
         run = slice(lo - row_start[r0], hi - row_start[r0])
         a, x, y, on_ring = (v[r0:r1][nz[r0:r1]][run] for v in (f.values, X, Y, ring))
-        z = np.empty(a.shape, dtype=complex)
-        z.real, z.imag = x, y
+        z = _nodes(x, y)
         # the boundary requirement scales with the strongest monomial weight;
         # the threshold is looser than for plain fields because the monomial
         # factor suppresses the interior peak, not because more mass is allowed
         weight = (np.abs(z) / (sqrt(2.0) * g.radius)) ** J * np.abs(a)
         peaks.append((np.max(weight, initial=0.0), np.max(weight[on_ring], initial=0.0)))
-        return _monomial_sums(z, a, J, 1.0)
+        return _monomial_sums(z, a, J)
 
     sums = _pairwise_sum(leaf, 0, int(row_start[-1]))
     peak, on_ring = np.max(peaks, axis=0)

@@ -23,8 +23,8 @@ transforms.
 The growing-weight bound (constant 1/2) and the classical bound via the
 Fock-space projection are evaluated on the datum's support disk, where both
 integrals agree with their plane counterparts for compliant data.  The
-growing-weight bound and ``uniqueness_probe`` read each disk from its own
-square of axis lines (``grid._lines_within``), in the full grid's order.
+growing-weight bound and ``uniqueness_probe`` evaluate e^{2 phi}, and guard
+it, on their disks only, each read from its own axis lines (``grid._disk``).
 
 The Fock projection works on a quarter of the grid, by the square's
 symmetry z -> iz, and sums its series up to a degree K taken from the
@@ -45,7 +45,8 @@ from numpy.polynomial.polynomial import polyval
 
 from . import diffops
 from .errors import DynamicRangeError, InvalidArgumentError
-from .grid import Field, Grid, _line_blocks, _lines_within, _map_blocks, _nonzero_lines
+from .grid import (Field, Grid, _abs2_sum, _disk, _line_blocks, _map_blocks, _nodes,
+                   _nonzero_lines)
 from .moments import MOMENT_J, _l1_norm, _monomial_sums, moments
 from .weights import EXP_CAP, Weight, curvature_margin
 
@@ -89,9 +90,7 @@ def support_radius(f: Field) -> float:
         return 0.0
     j, k = np.nonzero(a > SUPPORT_FLOOR * peak)
     x = f.grid.axis
-    z = np.empty(j.size, dtype=complex)  # the significant nodes, as Grid.nodes builds them
-    z.real, z.imag = x[j], x[k]
-    return float(np.max(np.abs(z)))
+    return float(np.max(np.abs(_nodes(x[j], x[k]))))
 
 
 def cauchy_transform(f: Field) -> Field:
@@ -181,8 +180,8 @@ def solve_dbar(f: Field, w: Weight, slack: float = 0.01) -> SolutionReport:
     disk, so the restriction loses nothing while avoiding amplification of
     rounding noise by e^{2 phi} at the corners of the truncation square;
     e^{2 phi} is evaluated, and guarded against overflow, on that disk only.
-    The disk is read from its own square of axis lines, so no full-grid node
-    array or mask is made.
+    The disk is read from its own square of axis lines (``grid._disk``), so
+    no full-grid node array or mask is made.
     When the normalized moments exceed ``MOMENT_REL_TOL`` the report carries
     the non-orthogonal-datum flag and the bound verdict is informational only.
     """
@@ -201,20 +200,11 @@ def solve_dbar(f: Field, w: Weight, slack: float = 0.01) -> SolutionReport:
     moment_rel_max = float(np.max(np.abs(mv.m) / (scale * max(l1, 1e-300))))
     flagged = moment_rel_max > MOMENT_REL_TOL
 
-    r_disk = r_sup + 2.0 * h
-    box = _lines_within(g.axis, r_disk)  # the disk's square
-    x = g.axis[box]
-    z = np.empty((x.size, x.size), dtype=complex)  # its nodes, as Grid.nodes builds them
-    z.real, z.imag = x[:, None], x
-    disk = np.abs(z) <= r_disk
-    zd = z[disk]
+    box, disk, zd, _ = _disk(g, r_sup + 2.0 * h)
     e2phi = w.exp_phi(zd, 2.0)
-    lap = w.lap_hat_phi(zd)
     ud, fd = u.values[box, box][disk], f.values[box, box][disk]
-    u2 = ud.real**2 + ud.imag**2
-    f2 = fd.real**2 + fd.imag**2
-    h2_lhs = 2.0 * float(h * h * np.sum(u2 * (e2phi * lap)))
-    h2_rhs = float(h * h * np.sum(f2 * e2phi))
+    h2_lhs = 2.0 * float(h * h * _abs2_sum(ud, e2phi * w.lap_hat_phi(zd)))
+    h2_rhs = float(h * h * _abs2_sum(fd, e2phi))
     h2_passes = h2_lhs <= h2_rhs * (1.0 + slack)
 
     tail = np.abs(u.values)
@@ -294,9 +284,8 @@ def check_hormander_bound(f: Field, w: Weight, slack: float = 0.01) -> BoundRepo
         lhs = rhs = 0.0
         for m, value in enumerate(_dft4(S)):
             value -= _turn(u, m, rows)
-            lhs += np.sum((value.real**2 + value.imag**2) * gauss)
-            fm = _turn(fv, m, rows)
-            rhs += np.sum((fm.real**2 + fm.imag**2) * weight)
+            lhs += _abs2_sum(value, gauss)
+            rhs += _abs2_sum(_turn(fv, m, rows), weight)
         return lhs, rhs, d
 
     lhs, rhs, dsums = (np.sum(a, axis=0) for a in zip(*_map_blocks(sides, blocks)))
@@ -307,12 +296,12 @@ def check_hormander_bound(f: Field, w: Weight, slack: float = 0.01) -> BoundRepo
         pc = polyval(zc, c)
         lhs += abs(pc - u[at]) ** 2 * gc
         rhs += abs(fv[at]) ** 2 * gc / w.lap_hat_phi(zc)
-        dsums += _monomial_sums(np.conj([zc]), np.array([pc * gc]), terms, 1.0)
+        dsums += _monomial_sums(np.conj([zc]), np.array([pc * gc]), terms)
     e = dsums * _fock_scale(h, terms) - c
 
     def residual(rows):  # sum_m |E(i^m z)|^2 = 4 sum_r |S_r(z)|^2 for E = sum_k e_k z^k
         z, gauss = _quarter_nodes(x, rows)
-        return 4.0 * sum(np.sum((s.real**2 + s.imag**2) * gauss) for s in _quarter_series(e, z))
+        return 4.0 * sum(_abs2_sum(s, gauss) for s in _quarter_series(e, z))
 
     idem = sum(_map_blocks(residual, blocks))
     if centre:
@@ -383,7 +372,7 @@ def _fock_coefficients(v: np.ndarray, g: Grid, terms: int) -> np.ndarray:
     centre = _centre(g)
     if centre:
         at, zc, gc = centre
-        sums += _monomial_sums(np.conj([zc]), np.array([v[at] * gc]), terms, 1.0)
+        sums += _monomial_sums(np.conj([zc]), np.array([v[at] * gc]), terms)
     return sums * _fock_scale(g.spacing, terms)
 
 
@@ -404,7 +393,7 @@ def _quarter_blocks(n: int) -> list:
 def _quarter_nodes(x: np.ndarray, rows: slice):
     """The nodes z of D's rows ``rows`` and e^{-|z|^2} there, from the axis ``x``."""
     y = x[x.size // 2:]
-    return x[rows, None] + 1j * y, np.exp(-(x[rows, None] ** 2 + y**2))
+    return _nodes(x[rows, None], y), np.exp(-(x[rows, None] ** 2 + y**2))
 
 
 def _turn(a: np.ndarray, m: int, rows: slice) -> np.ndarray:
@@ -493,21 +482,21 @@ def uniqueness_probe(g: Grid, w: Weight) -> list[dict]:
     ``UNIQUENESS_RADII``.  Under the curvature condition these must blow up,
     which is why no second decaying solution can exist.  A multiple c z^p
     scales every energy by |c|^2 and leaves the growth ratio as it is.  The
-    degrees share the per-grid work: the curvature check, the weight density
-    and each disk's mask over its own square of axis lines.
+    degrees share the curvature check and the nodes, moduli and weight
+    density of the largest disk (``grid._disk``), each smaller open disk an
+    |z| < r mask on that list; so e^{2 phi} is evaluated, and guarded
+    against overflow, on that disk only.
     """
     if not curvature_margin(w, g).passes:
         raise InvalidArgumentError("uniqueness probe requires a weight passing the curvature condition")
-    Z, h = g.nodes, g.spacing
-    density = w.exp_phi(Z, 2.0) * w.lap_hat_phi(Z)
-    r = np.abs(Z)
-    boxes = [_lines_within(g.axis, rr) for rr in UNIQUENESS_RADII]
-    disks = [(box, r[box, box] < rr) for box, rr in zip(boxes, UNIQUENESS_RADII)]
+    h = g.spacing
+    _, _, z, r = _disk(g, max(UNIQUENESS_RADII))
+    density = w.exp_phi(z, 2.0) * w.lap_hat_phi(z)
+    disks = [r < rr for rr in UNIQUENESS_RADII]
     tables = []
     for d in UNIQUENESS_DEGREES:
-        # |z^0|^2 = 1 and |z^1|^2 = r^2 bit for bit
-        dens = density if d == 0 else r**2 * density if d == 1 else np.abs(Z**d) ** 2 * density
-        energies = [float(h * h * np.sum(dens[box, box][inside])) for box, inside in disks]
+        dens = np.abs(z**d) ** 2 * density
+        energies = [float(h * h * np.sum(dens[inside])) for inside in disks]
         first, last = energies[0], energies[-1]
         # None when the innermost disk holds no node but the outer ones carry
         # energy: the growth is real but has no finite ratio

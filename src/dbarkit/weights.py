@@ -68,7 +68,7 @@ class Weight:
         return self._sample(self.lap_hat_phi, "laplacian_hat(phi)", grid).values.real
 
     def exp_phi(self, z: np.ndarray, factor: float = 1.0) -> np.ndarray:
-        """e^{factor * phi} at the nodes ``z`` (``grid.nodes`` or a masked subset).
+        """e^{factor * phi} at the nodes ``z``, an array of any shape.
 
         Raises DynamicRangeError when factor * phi exceeds EXP_CAP at some
         node; its ``node_index`` is the flat index into ``z``.

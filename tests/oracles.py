@@ -125,7 +125,7 @@ def moments_gathered(f: Field, J: int) -> MomentVector:
     ring = np.max(weight[_ring_mask(g.n)[nz]], initial=0.0)
     warn_boundary_mass(float(ring / peak) if peak else 0.0, threshold=1e-6,
                        context=f"moments up to J={J}")
-    return MomentVector(J, _monomial_sums(z, a, J, g.spacing))
+    return MomentVector(J, g.spacing * g.spacing * _monomial_sums(z, a, J))
 
 
 def solve_sides_full_grid(f: Field, u: Field, w) -> tuple[float, float, float]:
@@ -153,7 +153,7 @@ def fock_project_full_grid(u: Field, terms: int = FOCK_TERMS) -> Field:
     g = u.grid
     z = g.nodes
     gauss = np.exp(-(z.real**2 + z.imag**2))
-    c = _monomial_sums(np.conj(z), u.values * gauss, terms, g.spacing)
+    c = g.spacing * g.spacing * _monomial_sums(np.conj(z), u.values * gauss, terms)
     c *= [exp(-lgamma(k + 1)) / pi for k in range(terms + 1)]
     out = np.full(z.shape, c[-1])
     for ck in c[-2::-1]:

@@ -551,6 +551,19 @@ def test_bad_output_dir_exits_2_before_any_pipeline(tmp_path, capsys, monkeypatc
     assert lines[0].startswith("config error: cannot create output directory: ")
 
 
+@pytest.mark.parametrize("argv, target", [(["curvature"], "curvature.json"),
+                                          (["solve", "--format", "csv"], "solve_u.csv")],
+                         ids=["json", "csv"])
+def test_unwritable_report_exits_2(tmp_path, capsys, argv, target):
+    (tmp_path / target).mkdir()
+    assert main(argv + ["--grid-n", "16", "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in err
+    assert lines[0].startswith("config error: cannot write report: ")
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     ok = main(["curvature", "--grid-n", "64", "--out", str(tmp_path / "a")])
     assert ok == 0

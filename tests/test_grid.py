@@ -1,3 +1,4 @@
+import ast
 import functools
 import os
 import threading
@@ -16,6 +17,8 @@ from dbarkit.errors import InvalidArgumentError, InvalidWeightError, SamplingErr
 from dbarkit.grid import FLOAT_FMT, Field, field_to_csv, write_field_csv
 from dbarkit.weights import custom_weight
 from oracles import csv_rows_reference, integrate
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "dbarkit")
 
 
 def test_build_grid_rejects_small_n():
@@ -59,6 +62,49 @@ def test_nodes_match_the_meshgrid_sum(n):
     X, Y = np.meshgrid(g.axis, g.axis, indexing="ij")
     ref = X + 1j * Y
     assert np.array_equal(g.nodes.view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("n, radius, r", [(8, 3.0, 1.0), (9, 3.0, 0.0), (65, 3.0, 2.5),
+                                          (256, 3.7, 3.7), (255, 6.0, 9.0), (16, 1e-150, 1e-151)])
+def test_disk_reads_the_full_grid_disk(n, radius, r):
+    # the disk's square of axis lines gathers what a full-grid mask does, in
+    # the same order, nodes and moduli to the bit
+    g = build_grid(radius, n)
+    Z = g.nodes
+    disk = np.abs(Z) <= r
+    a = np.arange(n * n).reshape(n, n)
+    box, inside, z, mod = grid._disk(g, r)
+    assert np.array_equal(a[box, box][inside], a[disk])
+    assert np.array_equal(z.view(np.int64), Z[disk].view(np.int64))
+    assert np.array_equal(mod, np.abs(Z[disk]))
+
+
+def _assigns_node_parts(scope) -> bool:
+    """Whether the statements of ``scope``, outside its nested functions and
+    classes, assign both ``.real`` and ``.imag`` of something."""
+    parts, stack = set(), list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            parts.add(node.attr)
+    return {"real", "imag"} <= parts
+
+
+def test_only_grid_nodes_builds_node_parts():
+    # every complex node array comes from grid._nodes, so a node has the same
+    # bits wherever it is made
+    builders = []
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name)) as fh:
+                tree = ast.parse(fh.read())
+            builders += [f"{name[:-3]}.{scope.name}" for scope in ast.walk(tree)
+                         if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef))
+                         and _assigns_node_parts(scope)]
+    assert builders == ["grid._nodes"]
 
 
 def horner_reference(poly, z):

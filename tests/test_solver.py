@@ -236,15 +236,22 @@ def test_spectral_solve_growing_weights(compliant):
 
 def test_solve_guards_e2phi_on_support_disk_only(member):
     # at R = 7, 2 cosh(x) reaches about 1067 at the corners of the square,
-    # past EXP_CAP, but stays near 50 on the datum's support disk
+    # past EXP_CAP, but stays near 50 on the datum's support disk and below
+    # 2 cosh 6 = 403 on the probe's disks |z| <= 6
     g = build_grid(7.0, 256)
     w = custom_weight({"name": "cosh-x"})
-    assert 2.0 * np.max(w.phi(g.nodes)) > 1000.0
+    Z, h = g.nodes, g.spacing
+    assert 2.0 * np.max(w.phi(Z)) > 1000.0
     rep = solve_dbar(member.sample_dbar(g), w)
     assert rep.h2_passes
     assert not rep.non_orthogonal_datum
-    with pytest.raises(DynamicRangeError):
-        uniqueness_probe(g, w)
+    for p, table in zip(solver.UNIQUENESS_DEGREES, uniqueness_probe(g, w)):
+        energies = []
+        for r in solver.UNIQUENESS_RADII:
+            z = Z[np.abs(Z) < r]
+            dens = np.abs(z**p) ** 2 * (w.exp_phi(z, 2.0) * w.lap_hat_phi(z))
+            energies.append(float(h * h * np.sum(dens)))
+        assert table["energies"] == energies
 
 
 @pytest.mark.parametrize("n, radius", [(9, 6.0), (255, 6.0), (256, 6.0), (256, 3.7)])
@@ -532,11 +539,13 @@ def test_uniqueness_probe_energies_blow_up(grid_default, fock, p):
 
 
 @pytest.mark.parametrize("n, radius", [(256, 6.0), (255, 6.0), (256, 3.7)])
-def test_uniqueness_probe_degrees_share_one_call(fock, n, radius):
+def test_uniqueness_probe_degrees_share_one_call(fock, monkeypatch, n, radius):
     # each degree's table is that of its own pass over the grid's disk masks,
-    # to the bit
+    # to the bit, with no full-grid node array made
     g = build_grid(radius, n)
-    tables = uniqueness_probe(g, fock)
+    with monkeypatch.context() as m:
+        m.setattr(Grid, "nodes", property(lambda g: pytest.fail("Grid.nodes called")))
+        tables = uniqueness_probe(g, fock)
     assert [t["p"] for t in tables] == list(solver.UNIQUENESS_DEGREES)
     Z, h = g.nodes, g.spacing
     density = fock.exp_phi(Z, 2.0) * fock.sample_lap_hat(g)
