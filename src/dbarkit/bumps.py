@@ -121,13 +121,16 @@ class BumpPoly:
         b, fac = self._bump_factor(z)
         return fac * np.conj(z - self.center) * self.poly(z) + b * self._poly_dz(z)
 
-    def _sample_on_support(self, fn, grid: Grid) -> Field:
-        """``grid.sample`` of ``fn`` inside the support disk, its mask taking
-        the arithmetic of ``_s``: bit for bit ``fn(grid.nodes)`` there, and +0
-        outside, where ``fn`` gives 0 * p(z), a zero of either sign."""
+    def _support(self, grid: Grid):
+        """``inside(r)``: the support disk on grid rows ``r``, by ``_s``'s arithmetic."""
         x = grid.axis
         dx2, dy2 = (x - self.center.real) ** 2, (x - self.center.imag) ** 2
-        return sample(fn, grid, lambda r: (dx2[r, None] + dy2) / self.rho**2 < 1.0)
+        return lambda r: (dx2[r, None] + dy2) / self.rho**2 < 1.0
+
+    def _sample_on_support(self, fn, grid: Grid) -> Field:
+        """``grid.sample`` of ``fn`` inside the support disk: bit for bit ``fn(grid.nodes)``
+        there, and +0 outside, where ``fn`` gives 0 * p(z), a zero of either sign."""
+        return sample(fn, grid, self._support(grid))
 
     def sample(self, grid: Grid) -> Field:
         return self._sample_on_support(self, grid)

@@ -21,6 +21,7 @@ import dataclasses
 import json
 import math
 import numbers
+import os
 import sys
 import time
 from math import pi
@@ -29,13 +30,12 @@ from pathlib import Path
 import numpy as np
 
 from . import identity, solver
-from .moments import (MATCH_TOL, MOMENT_J, DiagonalSeries, MomentVector, _l1_norm,
-                      bargmann_probe, diagonal_restriction)
-from .moments import moments as compute_moments
+from .moments import (MATCH_TOL, MOMENT_J, DiagonalSeries, MomentVector, _diagonal, _fold,
+                      bargmann_probe, default_diagonal_samples)
 from .bumps import random_suite
 from .errors import (ConfigError, DynamicRangeError, InvalidArgumentError, SamplingError,
                      WeightInvariantViolationError)
-from .grid import Field, Grid, build_grid, sample, write_field_csv
+from .grid import Field, Grid, _sampled_blocks, build_grid, sample, write_field_csv
 from .weights import MARGIN_TOL, curvature_margin, custom_weight, fock_weight
 
 DEFAULT_CONFIG = {
@@ -171,19 +171,18 @@ class Reduction:
 
 class RunMemo(dict):
     """What one run samples and reduces once for all its pipelines, made on
-    first use: ``memo[name, grid]`` is the datum ``FIELDS[name]`` on ``grid``
-    for the run's seed, and ``memo.reduced(name, grid)`` its ``Reduction``.
+    first use: ``memo[name, grid]`` is the datum ``DATA[name]`` sampled on
+    ``grid`` for the run's seed, and ``memo.reduced(name, grid)`` its
+    ``Reduction``, one ``moments._fold`` of the sampled datum if a pipeline
+    has asked for it, else of row blocks sampled from the closed form and
+    dropped once folded.  The reduction holds the diagonal restriction only
+    when ``pipelines`` names ``diagonal``."""
 
-    A reduction reuses the datum if a pipeline has asked for it already, and
-    otherwise samples it and drops it once reduced, so the moment checks'
-    two n = 1024 data are never alive together.  It holds the diagonal
-    restriction only when ``pipelines`` names ``diagonal``: a run of
-    ``moments`` alone leaves ``fourier2`` and its exponent cap out."""
-
+    # each datum as its closed form and support mask (None for every node):
     # dbar of the seed's first suite member (orthogonal to entire functions)
     # and e^{-|z|^2}, whose m_0 and diagonal restriction are pi
-    FIELDS = {"compliant": lambda seed, grid: random_suite(1, seed)[0].sample_dbar(grid),
-              "gaussian": lambda seed, grid: sample(lambda z: np.exp(-np.abs(z) ** 2), grid)}
+    DATA = {"compliant": lambda seed, g: ((m := random_suite(1, seed)[0]).dbar, m._support(g)),
+            "gaussian": lambda seed, g: (lambda z: np.exp(-np.abs(z) ** 2), None)}
 
     def __init__(self, seed: int, pipelines=()):
         super().__init__()
@@ -192,16 +191,19 @@ class RunMemo(dict):
 
     def __missing__(self, key):
         name, grid = key
-        self[key] = self.FIELDS[name](self.seed, grid)
+        fn, inside = self.DATA[name](self.seed, grid)
+        self[key] = sample(fn, grid, inside)
         return self[key]
 
     def reduced(self, name: str, grid: Grid) -> Reduction:
         key = name, grid, Reduction
         if key not in self:
-            f = self[name, grid] if (name, grid) in self else self.FIELDS[name](self.seed, grid)
-            mv = compute_moments(f, MOMENT_J)
-            self[key] = Reduction(mv, _l1_norm(f),
-                                  diagonal_restriction(f, mv) if self.diagonal else None)
+            blocks = (self[name, grid] if (name, grid) in self
+                      else _sampled_blocks(grid, *self.DATA[name](self.seed, grid)))
+            xi = default_diagonal_samples()
+            mv, l1, values = _fold(grid, blocks, MOMENT_J, True,
+                                   (xi, 1j * xi) if self.diagonal else None)
+            self[key] = Reduction(mv, l1, None if values is None else _diagonal(xi, values, mv))
         return self[key]
 
 
@@ -379,26 +381,35 @@ def run(cfg: dict, subcommand: str) -> dict:
 
 def emit_report(result: dict, cfg: dict) -> list[str]:
     """Write the JSON report, its timings sidecar ``<subcommand>.timings.json``
-    (and the CSV dumps when requested) into the existing output directory."""
+    (and the CSV dumps when requested) into the existing output directory,
+    each under a temporary name renamed once all are written: a failure
+    leaves no file of the call to contradict the exit code."""
     out = Path(cfg["output"]["dir"])
+    sub = result["subcommand"]
     public = {k: v for k, v in result.items() if not k.startswith("_")}
-    jpath = out / f"{result['subcommand']}.json"
     # allow_nan=False raises ValueError on NaN or +-inf, keeping reports strict
     # JSON; the ASCII escapes make any string writable, even an undecodable --out
-    jpath.write_text(json.dumps(public, sort_keys=True, allow_nan=False) + "\n")
-    tpath = out / f"{result['subcommand']}.timings.json"
-    tpath.write_text(json.dumps({"runtime_ms": result["_timings"]}, sort_keys=True) + "\n")
-    written = [str(jpath), str(tpath)]
+    files = {f"{sub}.json": json.dumps(public, sort_keys=True, allow_nan=False) + "\n",
+             f"{sub}.timings.json": json.dumps({"runtime_ms": result["_timings"]},
+                                               sort_keys=True) + "\n"}
     if cfg["output"]["format"] == "csv":
-        for stem, art in result["_csv"].items():
-            p = out / f"{stem}.csv"
-            with p.open("w") as fh:
+        files |= {f"{stem}.csv": art for stem, art in result["_csv"].items()}
+    made = []  # the temporary and renamed files of this call
+    try:
+        for name, art in files.items():
+            with (out / f".{name}.{os.getpid()}.tmp").open("x") as fh:
+                made.append(Path(fh.name))
                 if isinstance(art, Field):
                     write_field_csv(art, fh)
                 else:
                     fh.write(art)
-            written.append(str(p))
-    return written
+        for tmp, name in zip(list(made), files):
+            made.append(tmp.replace(out / name))
+    except BaseException:
+        for p in made:
+            p.unlink(missing_ok=True)
+        raise
+    return [str(out / name) for name in files]
 
 
 # each flag and the dotted config key it overrides

@@ -39,8 +39,8 @@ import numpy as np
 
 from . import diffops
 from .errors import DynamicRangeError, SamplingError
-from .grid import (Field, _abs2_sum, _line_blocks, _map_blocks, _nodes, _nonzero_lines,
-                   boundary_mass, warn_boundary_mass)
+from .grid import (Field, _abs2_sum, _first_non_finite, _line_blocks, _map_blocks, _nodes,
+                   _nonzero_lines, boundary_mass, warn_boundary_mass)
 from .weights import Weight
 
 REL_ERR_FLOOR = 1e-30
@@ -167,12 +167,6 @@ def _to_del(d: np.ndarray, q, first: int = 0):
         q2 = 2.0 * np.asarray(q)[:, None]
         d[:, first % 2::2] -= q2
         d[:, 1 - first % 2::2] += q2
-
-
-def _first_non_finite(f: np.ndarray, offset: int):
-    """``offset`` plus the flat index of the first non-finite entry of ``f``, or None."""
-    finite = np.isfinite(f)
-    return None if finite.all() else offset + int(np.flatnonzero(~finite)[0])
 
 
 def _halving_sum(s: list):

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .errors import DynamicRangeError, InvalidArgumentError, TruncationMassWarning
-from .grid import (BLOCK_NODES, FLOAT_FMT, Field, _nodes, _nonzero_lines, _ring_mask,
+from .grid import (FLOAT_FMT, Field, Grid, _line_blocks, _nodes, _nonzero_lines, _ring_mask,
                    warn_boundary_mass)
 
 IM_EXPONENT_CAP = 30.0
@@ -62,67 +62,76 @@ def _monomial_sums(z: np.ndarray, a: np.ndarray, J: int) -> np.ndarray:
     return out
 
 
-def _pairwise_sum(leaf, lo: int, hi: int, size: int = BLOCK_NODES, width: int = 2):
-    """``leaf(lo', hi')`` over runs of ``range(lo, hi)`` of at most ``size``
-    items, added along the tree of numpy's pairwise ``np.sum``, which over
-    c > 128 floats adds the sums of the first c/2 floats, rounded down to a
-    multiple of 8, and of the rest (Higham 1993, SIAM J. Sci. Comput. 14(4)).
-    An item is ``width`` floats: 2 for complex values, 1 for real ones.  For
-    ``size * width`` >= 128 and ``leaf`` an ``np.sum`` over its run, this is
-    ``np.sum`` to the bit."""
-    count = hi - lo
-    if count <= size:
-        return leaf(lo, hi)
-    half = width * count // 2
-    mid = lo + (half - half % 8) // width
-    return (_pairwise_sum(leaf, lo, mid, size, width)
-            + _pairwise_sum(leaf, mid, hi, size, width))
+def _fold(g: Grid, blocks, J: int | None = None, l1: bool = False, freqs=None):
+    """One pass over the row blocks ``(rows, values)`` of a datum on ``g`` (a
+    ``Field``'s ``_line_blocks``, or ``grid._sampled_blocks``), returning the
+    ``MomentVector`` up to ``J`` with its boundary-mass warning, h^2 sum |f| if
+    ``l1``, and fhat(xi_s, eta_s) for ``freqs`` = (xi, eta); None if not asked.
+
+    Each block with a nonzero adds, in block order, its monomial sums and its
+    sum of |f| over its nonzero nodes (one ``np.sum`` each), its two warning
+    maxima, and its share of the separable quadrature sum_j e^{-i xi x_j}
+    sum_k f_jk e^{-i eta y_k} over its nonzero rows and columns.  The blocks
+    depend on n alone, so the result is the same for any CPU count, and it
+    differs from one sum over all nodes by rounding within the bound of that
+    order (Higham 1993, SIAM J. Sci. Comput. 14(4))."""
+    x, h = g.axis, g.spacing
+    if isinstance(blocks, Field):
+        blocks = [(r, blocks.values[r]) for r in _line_blocks(0, g.n, g.n)]
+    sums = np.zeros(0 if J is None else J + 1, dtype=complex)
+    total = peak = on_ring = 0.0
+    if freqs is not None:
+        xi, eta = freqs
+        worst = float(np.max(g.radius * (np.abs(xi.imag) + np.abs(eta.imag)), initial=0.0))
+        if worst > IM_EXPONENT_CAP:
+            raise DynamicRangeError(
+                f"fourier2: |Im| growth exponent {worst:.1f} exceeds cap {IM_EXPONENT_CAP}")
+        fhat = np.zeros(xi.size, dtype=complex)
+        ey, made = np.empty((g.n, xi.size), dtype=complex), np.zeros(g.n, dtype=bool)
+    for rows, v in blocks:
+        nz = v != 0
+        rr, cc = _nonzero_lines(nz, 1), _nonzero_lines(nz, 0)
+        if rr.start == rr.stop:
+            continue
+        if freqs is not None:
+            new = cc.start + np.flatnonzero(~made[cc])
+            ey[new], made[cc] = np.exp(-1j * np.outer(x[new], eta)), True
+            fhat += np.sum(np.exp(-1j * np.outer(x[rows][rr], xi)) * (v[rr, cc] @ ey[cc]), axis=0)
+        if J is None and not l1:
+            continue
+        nz = nz.reshape(-1)
+        nz = slice(None) if nz.all() else nz  # a dense block is read in place
+        a = v.reshape(-1)[nz]
+        mag = np.abs(a)
+        total += np.sum(mag) if l1 else 0.0
+        if J is not None:
+            z = _nodes(x[rows, None], x).reshape(-1)[nz]
+            # the boundary requirement scales with the strongest monomial weight; the
+            # threshold is looser than for plain fields because the monomial factor
+            # suppresses the interior peak, not because more mass is allowed
+            weight = (np.abs(z) / (sqrt(2.0) * g.radius)) ** J * mag
+            peak = max(peak, np.max(weight))
+            ring = _ring_mask(g.n, rows).reshape(-1)[nz]
+            on_ring = max(on_ring, np.max(weight[ring], initial=0.0))
+            sums += _monomial_sums(z, a, J)
+    if J is not None:
+        warn_boundary_mass(on_ring / peak if peak else 0.0, threshold=1e-6,
+                           context=f"moments up to J={J}")
+    return (None if J is None else MomentVector(J, h * h * sums),
+            float(h * h * total) if l1 else None, None if freqs is None else h * h * fhat)
 
 
 def _l1_norm(f: Field) -> float:
-    """h^2 sum |f|, the bits of ``h * h * np.sum(np.abs(f.values))`` from one
-    ``BLOCK_NODES`` run of magnitudes at a time instead of a full-grid copy."""
-    flat = f.values.reshape(-1)
-    total = _pairwise_sum(lambda lo, hi: np.sum(np.abs(flat[lo:hi])), 0, flat.size, width=1)
-    h = f.grid.spacing
-    return float(h * h * total)
+    """h^2 sum |f|, one ``_fold`` over the row blocks of ``f``."""
+    return _fold(f.grid, f, l1=True)[1]
 
 
 def moments(f: Field, J: int) -> MomentVector:
-    """m_j = integral z^j f dA for j = 0..J by midpoint quadrature.
-
-    The datum's nonzero nodes, in row-major order, are cut along
-    ``_pairwise_sum``'s tree into runs; each gathers its values and nodes
-    and takes its ``_monomial_sums`` and warning maxima, so m_j is
-    ``h^2 np.sum(z^j a)`` to the bit with no full-length copy: a dense field
-    at n = 1024 peaks at 4.3 MiB (tracemalloc) against 49.0 MiB gathered.
-    """
+    """m_j = integral z^j f dA for j = 0..J by midpoint quadrature: ``_fold``'s
+    sums of z^j f over each row block's nonzero nodes, added in block order."""
     if J < 0:
         raise InvalidArgumentError(f"J must be nonnegative, got {J}")
-    g = f.grid
-    nz = f.values != 0
-    row_start = np.concatenate(([0], np.cumsum(np.count_nonzero(nz, axis=1))))
-    X, Y = np.broadcast_arrays(g.axis[:, None], g.axis[None, :])
-    ring = _ring_mask(g.n)
-    peaks = []  # per run: max of the monomial weight, overall and on the ring
-
-    def leaf(lo, hi):
-        r0, r1 = np.searchsorted(row_start, lo, "right") - 1, np.searchsorted(row_start, hi)
-        run = slice(lo - row_start[r0], hi - row_start[r0])
-        a, x, y, on_ring = (v[r0:r1][nz[r0:r1]][run] for v in (f.values, X, Y, ring))
-        z = _nodes(x, y)
-        # the boundary requirement scales with the strongest monomial weight;
-        # the threshold is looser than for plain fields because the monomial
-        # factor suppresses the interior peak, not because more mass is allowed
-        weight = (np.abs(z) / (sqrt(2.0) * g.radius)) ** J * np.abs(a)
-        peaks.append((np.max(weight, initial=0.0), np.max(weight[on_ring], initial=0.0)))
-        return _monomial_sums(z, a, J)
-
-    sums = _pairwise_sum(leaf, 0, int(row_start[-1]))
-    peak, on_ring = np.max(peaks, axis=0)
-    warn_boundary_mass(on_ring / peak if peak else 0.0, threshold=1e-6,
-                       context=f"moments up to J={J}")
-    return MomentVector(J, g.spacing * g.spacing * sums)
+    return _fold(f.grid, f, J)[0]
 
 
 def fourier2(f: Field, xi: complex, eta: complex) -> complex:
@@ -132,31 +141,8 @@ def fourier2(f: Field, xi: complex, eta: complex) -> complex:
     continued kernel; the exponent magnitude is capped to keep the integrand
     inside double-precision dynamic range.
     """
-    return complex(_fourier2_samples(f, np.array([xi], dtype=complex),
-                                     np.array([eta], dtype=complex))[0])
-
-
-def _fourier2_samples(f: Field, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """fhat(xi_s, eta_s) for every sample s by separable midpoint quadrature.
-
-    On the tensor grid the kernel factors as e^{-i xi x_j} e^{-i eta y_k}, so
-    all S samples cost 2 S n exponentials and one (S x n) @ (n x n) product
-    instead of S n^2 exponentials.  The sums run over the datum's nonzero
-    bounding box only, rows ``x_j`` by columns ``y_k``.
-    """
-    g = f.grid
-    growth = g.radius * (np.abs(xi.imag) + np.abs(eta.imag))
-    worst = float(np.max(growth, initial=0.0))
-    if worst > IM_EXPONENT_CAP:
-        raise DynamicRangeError(
-            f"fourier2: |Im| growth exponent {worst:.1f} exceeds cap {IM_EXPONENT_CAP}"
-        )
-    x = g.axis
-    rows, cols = _nonzero_lines(f.values, 1), _nonzero_lines(f.values, 0)
-    ex = np.exp(-1j * np.outer(xi, x[rows]))
-    ey = np.exp(-1j * np.outer(eta, x[cols]))
-    h = g.spacing
-    return h * h * np.sum((ex @ f.values[rows, cols]) * ey, axis=1)
+    return complex(_fold(f.grid, f, freqs=(np.array([xi], dtype=complex),
+                                           np.array([eta], dtype=complex)))[2][0])
 
 
 def default_diagonal_samples() -> np.ndarray:
@@ -171,7 +157,11 @@ def diagonal_restriction(f: Field, mv: MomentVector, xi_samples=None) -> Diagona
     at ``mv``, the moments of ``f``."""
     xi_samples = np.asarray(default_diagonal_samples() if xi_samples is None else xi_samples,
                             dtype=complex)
-    values = _fourier2_samples(f, xi_samples, 1j * xi_samples)
+    return _diagonal(xi_samples, _fold(f.grid, f, freqs=(xi_samples, 1j * xi_samples))[2], mv)
+
+
+def _diagonal(xi_samples, values, mv: MomentVector) -> DiagonalSeries:
+    """The quadrature ``values`` at ``xi_samples`` beside the series of ``mv``."""
     series = polyval(-1j * xi_samples, mv.m / [factorial(j) for j in range(mv.J + 1)])
     return DiagonalSeries(xi_samples, values, series)
 

@@ -10,7 +10,8 @@
 * ``csv_rows_reference``: the CSV dump of a field, every number formatted
   by ``%``.
 * ``moments_gathered``: the moments from one full-length gather of the
-  datum's nonzero values and nodes, each m_j one ``np.sum``.
+  datum's nonzero values and nodes, each m_j one ``np.sum``; and
+  ``rounding_bound``, the most two orders of one sum can differ by.
 * ``bargmann_probe_dense``: the Plancherel probe on a fixed 3000 x 480 rule,
   with e^{x^2/beta} as its own factor on the right sides.
 * ``norm_identity_terms`` and ``norm_identity_fields``: the norms and the
@@ -31,14 +32,14 @@ from __future__ import annotations
 
 import warnings
 from collections import namedtuple
-from math import exp, lgamma, pi, sqrt
+from math import ceil, exp, lgamma, log2, pi, sqrt
 
 import numpy as np
 
 from dbarkit import diffops
 from dbarkit.errors import InvalidArgumentError, TruncationMassWarning
-from dbarkit.grid import (FLOAT_FMT, Field, Grid, _ring_mask, boundary_mass,
-                          warn_boundary_mass, weighted_norm_sq)
+from dbarkit.grid import (BLOCK_NODES, FLOAT_FMT, Field, Grid, _line_blocks, _ring_mask,
+                          boundary_mass, warn_boundary_mass, weighted_norm_sq)
 from dbarkit.moments import MATCH_TOL, BargmannProbeReport, MomentVector, _monomial_sums
 from dbarkit.solver import FOCK_TERMS, BoundReport, dbar_invert_spectral, support_radius
 
@@ -126,6 +127,40 @@ def moments_gathered(f: Field, J: int) -> MomentVector:
     warn_boundary_mass(float(ring / peak) if peak else 0.0, threshold=1e-6,
                        context=f"moments up to J={J}")
     return MomentVector(J, g.spacing * g.spacing * _monomial_sums(z, a, J))
+
+
+# the unit roundoff of a double
+U = 2.0**-53
+
+
+def sum_depth(count: int) -> int:
+    """At least the most additions any one of ``count`` terms takes in numpy's
+    pairwise ``np.sum``: 26 in its unrolled base case of 128 floats (15 into
+    one of 8 accumulators, 3 combining them, 7 for the floats left over, 1
+    into the result), plus one per halving above that case."""
+    return 25 + max(0, ceil(log2(max(count, 1))))
+
+
+def fold_depth(n: int) -> int:
+    """The most additions any one term takes in ``moments._fold`` on an n x n
+    grid: an ``np.sum`` within a row block of at most ``BLOCK_NODES`` nodes,
+    then one addition per block."""
+    return sum_depth(BLOCK_NODES) + len(_line_blocks(0, n, n))
+
+
+def rounding_bound(magnitude, *depths, components: int = 2):
+    """The most two float sums of the same terms x_i, each then scaled by the
+    same float c, can differ by; ``magnitude`` is c sum |x_i|, and term i
+    takes at most ``depths[k]`` additions in sum k.
+
+    In each real component sum k is within gamma_{D_k} sum |x_i| of the exact
+    sum, gamma_D = D u / (1 - D u) (Higham 1993, "The accuracy of floating
+    point summation", SIAM J. Sci. Comput. 14(4)), and its scaling rounds once
+    more, within u c sum |x_i| (1 + gamma_{D_k}).  So the difference is at
+    most (D_1 + D_2 + 2) u c sum |x_i| in each component, plus terms of order
+    D^2 u^2 that the third unit covers, and sqrt(components) times that in
+    modulus."""
+    return sqrt(components) * (sum(depths) + 3) * U * magnitude
 
 
 def solve_sides_full_grid(f: Field, u: Field, w) -> tuple[float, float, float]:

@@ -7,18 +7,22 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbarkit import build_grid, solver
 from dbarkit.cli import DEFAULT_CONFIG, build_parser, emit_report, load_config, main, run
-from dbarkit.errors import ConfigError
-from dbarkit.moments import MATCH_TOL, MOMENT_J
+from dbarkit.errors import ConfigError, SamplingError
+from dbarkit.grid import _line_blocks
+from dbarkit.moments import MATCH_TOL, MOMENT_J, _l1_norm, diagonal_restriction, moments
 from dbarkit.weights import MARGIN_TOL
+from oracles import fold_depth, rounding_bound, sum_depth
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -418,49 +422,51 @@ def test_run_curvature_fails_for_degenerate_weight():
 @pytest.fixture(scope="module")
 def all_run():
     """One in-process ``run(cfg, "all")`` at the defaults: its result, the
-    grids ``sample_dbar`` was called on and the (field, J) of every moments call."""
-    from dbarkit.bumps import BumpPoly
+    (datum, n) of every sampling of a ``RunMemo.DATA`` datum, whole or in
+    blocks, and the (n, J, l1, diagonal) of every ``moments._fold``."""
+    cli, mom = (importlib.import_module(f"dbarkit.{m}") for m in ("cli", "moments"))
+    samplings, folds = [], []
+    fold = mom._fold
 
-    # the package's ``moments`` is the function, so the modules come by name
-    cli, mom, solver = (importlib.import_module(f"dbarkit.{m}")
-                        for m in ("cli", "moments", "solver"))
-    grids, calls = [], []
-    sample_dbar, moments = BumpPoly.sample_dbar, mom.moments
+    def counted_fold(g, blocks, J=None, l1=False, freqs=None):
+        folds.append((g.n, J, l1, freqs is not None))
+        return fold(g, blocks, J, l1, freqs)
 
-    def counted_sample_dbar(self, grid):
-        grids.append(grid)
-        return sample_dbar(self, grid)
-
-    def counted_moments(f, J):
-        calls.append((f, J))  # holding f keeps its id from being reused
-        return moments(f, J)
+    def counted(name, make):
+        def datum(seed, grid):
+            samplings.append((name, grid.n))
+            return make(seed, grid)
+        return datum
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(BumpPoly, "sample_dbar", counted_sample_dbar)
-        for module, name in ((mom, "moments"), (solver, "moments"), (cli, "compute_moments")):
-            mp.setattr(module, name, counted_moments)
+        mp.setattr(cli.RunMemo, "DATA", {k: counted(k, v) for k, v in cli.RunMemo.DATA.items()})
+        for module in (mom, cli):
+            mp.setattr(module, "_fold", counted_fold)
         result = run(load_config(), "all")
     assert result["overall"]
-    return result, grids, [(id(f), f.grid.n, J) for f, J in calls]
+    return result, samplings, folds
 
 
 @pytest.fixture(scope="module")
 def counted_all_run(all_run):
-    """The grids and moments calls of ``all_run``."""
+    """The samplings and folds of ``all_run``."""
     return all_run[1:]
 
 
 def test_all_samples_the_compliant_datum_once_per_grid(counted_all_run):
-    grids, _ = counted_all_run
-    assert sorted(g.n for g in grids) == [256, 1024]
+    samplings, _ = counted_all_run
+    # whole at n = 256 for solve and check-h1, in blocks at the moment grid
+    assert sorted(samplings) == [("compliant", 256), ("compliant", 1024), ("gaussian", 1024)]
 
 
 def test_all_takes_each_moment_vector_once(counted_all_run):
-    _, calls = counted_all_run
-    assert len(set(calls)) == len(calls)
+    _, folds = counted_all_run
     # solve's and sharpness's data at n = 256, the compliant datum and the
     # Gaussian at 1024 (without the memo the last two are taken twice each)
-    assert sorted((n, J) for _, n, J in calls) == [(256, MOMENT_J)] * 2 + [(1024, MOMENT_J)] * 2
+    assert sorted((n, J) for n, J, _, _ in folds if J is not None) == (
+        [(256, MOMENT_J)] * 2 + [(1024, MOMENT_J)] * 2)
+    # each moment-grid datum is reduced in one pass: moments, L1 norm and diagonal
+    assert [f for f in folds if f[0] == 1024] == [(1024, MOMENT_J, True, True)] * 2
 
 
 def _parts(result, name):
@@ -481,10 +487,15 @@ def test_diagonal_alone_reads_what_all_reads(all_run):
 
 def test_moments_alone_takes_no_diagonal(monkeypatch, all_run):
     cli = importlib.import_module("dbarkit.cli")
-    calls = []
-    monkeypatch.setattr(cli, "diagonal_restriction", lambda *a: calls.append(a))
+    fold, freqs = cli._fold, []
+
+    def counted_fold(g, blocks, J=None, l1=False, freqs_=None):
+        freqs.append(freqs_)
+        return fold(g, blocks, J, l1, freqs_)
+
+    monkeypatch.setattr(cli, "_fold", counted_fold)
     alone = run(load_config(), "moments")
-    assert calls == []
+    assert freqs == [None, None]
     assert _parts(alone, "moments") == _parts(all_run[0], "moments")
 
 
@@ -495,23 +506,98 @@ def test_memo_keeps_a_reduction_but_not_the_datum_it_sampled():
     gaussian = memo.reduced("gaussian", grid)
     assert ("gaussian", grid) not in memo and memo.reduced("gaussian", grid) is gaussian
     f = memo["compliant", grid]
-    memo.FIELDS = {}  # a second sampling would raise KeyError
+    memo.DATA = {}  # a second sampling would raise KeyError
     compliant = memo.reduced("compliant", grid)
     assert memo["compliant", grid] is f
     assert compliant.l1 > 0 and compliant.diagonal is not None
     assert cli.RunMemo(42, ["moments"]).reduced("compliant", grid).diagonal is None
 
 
-def test_all_holds_one_moment_grid_datum_at_a_time():
-    # one n = 1024 datum and its streamed reductions peak at 23.2 MiB; a memo
-    # that keeps both data to the end and copies |f| for the L1 norm, 39.2 MiB
+def _recorded(fn):
+    """``fn()`` and the messages of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn()
+    return out, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("name", ["compliant", "gaussian"])
+@pytest.mark.parametrize("n, radius", [(1024, 6.0), (255, 3.7)])
+def test_memo_fold_is_the_fields_reduction(name, n, radius):
+    # the memo folds blocks sampled from the closed form; the library's
+    # functions fold the sampled field's blocks
+    cli = importlib.import_module("dbarkit.cli")
+    grid = build_grid(radius, n)
+    streamed, caught = _recorded(lambda: cli.RunMemo(42, ["diagonal"]).reduced(name, grid))
+    f = cli.RunMemo(42)[name, grid]
+    (mv, l1, ds), ref_caught = _recorded(
+        lambda: (lambda mv: (mv, _l1_norm(f), diagonal_restriction(f, mv)))(moments(f, MOMENT_J)))
+    assert caught == ref_caught
+    h2, depth = grid.spacing**2, fold_depth(n)
+    nz = f.values != 0
+    mod, a = np.abs(grid.nodes[nz]), np.abs(f.values[nz])
+    magnitude = h2 * np.array([np.sum(mod**j * a) for j in range(MOMENT_J + 1)])
+    assert np.all(np.abs(streamed.moments.m - mv.m) <= rounding_bound(magnitude, depth, depth))
+    assert abs(streamed.l1 - l1) <= rounding_bound(l1, depth, depth, components=1)
+    # each term ex f ey of the diagonal takes at most n additions in the product
+    # over rows, one per block and a column sum, after two complex products
+    # (within sqrt(2) gamma_2 each: six units cover both)
+    xi, x = ds.xi_samples, grid.axis
+    ex, ey = (np.exp(np.outer(np.imag(k), x)) for k in (xi, 1j * xi))  # |e^{-i k x}|
+    magnitude = h2 * np.sum((ex @ np.abs(f.values)) * ey, axis=1)
+    d = n + len(_line_blocks(0, n, n)) + sum_depth(n) + 6
+    assert np.all(np.abs(streamed.diagonal.values - ds.values) <= rounding_bound(magnitude, d, d))
+    assert np.array_equal(streamed.diagonal.xi_samples, ds.xi_samples)
+
+
+def test_memo_fold_raises_the_fields_sampling_error():
+    cli = importlib.import_module("dbarkit.cli")
+    grid = build_grid(6.0, 300)
+    x = grid.axis
+    # non-finite on grid row 200, past the first row block, where y > 1
+    bad = lambda z: np.where((z.real == x[200]) & (z.imag > 1.0), np.inf, 1.0)  # noqa: E731
+    raised = []
+    for take in (lambda memo: memo["bad", grid], lambda memo: memo.reduced("bad", grid)):
+        memo = cli.RunMemo(42)
+        memo.DATA = {"bad": lambda seed, grid: (bad, None)}
+        with pytest.raises(SamplingError) as e:
+            take(memo)
+        raised.append((str(e.value), e.value.node_index))
+    first = 200 * 300 + int(np.flatnonzero(x > 1.0)[0])
+    assert raised == [(f"non-finite field value at flat node {first}", first)] * 2
+
+
+@pytest.mark.parametrize("which", ["first", "middle", "last"])
+def test_every_sampled_block_counts(monkeypatch, which):
+    # a compliant datum that lost one of its nonzero row blocks is no longer
+    # orthogonal to entire functions: both its checks must fail
+    cli = importlib.import_module("dbarkit.cli")
+    sampled_blocks = cli._sampled_blocks
+
+    def lose_one(grid, fn, inside=None, out=None):
+        blocks = list(sampled_blocks(grid, fn, inside, out))
+        if inside is not None:  # the compliant datum; the Gaussian has no mask
+            del blocks[{"first": 0, "middle": len(blocks) // 2, "last": -1}[which]]
+        return iter(blocks)
+
+    monkeypatch.setattr(cli, "_sampled_blocks", lose_one)
+    for name, check in (("moments", "moments-compliant"),
+                        ("diagonal", "diagonal-compliant-vanishes")):
+        result = run(load_config(), name)
+        assert not result["overall"]
+        assert [c["name"] for c in result["checks"] if not c["passes"]] == [check]
+
+
+def test_all_holds_no_moment_grid_datum():
+    # the moment grid's data are folded from row blocks, never made whole (one
+    # n = 1024 datum alone is 16 MiB); the run peaks at 10.0 MiB, 2 MiB below
     tracemalloc.start()
     try:
         assert run(load_config(), "all")["overall"]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 28 * 2**20
+    assert peak < 12 * 2**20
 
 
 def test_config_file_sequential_stands_without_flag(tmp_path):
@@ -562,6 +648,13 @@ def test_unwritable_report_exits_2(tmp_path, capsys, argv, target):
     lines = err.splitlines()
     assert len(lines) == 1 and "Traceback" not in err
     assert lines[0].startswith("config error: cannot write report: ")
+
+
+def test_unwritable_csv_leaves_no_report(tmp_path):
+    # the JSON report and its sidecar would say the run passed while it exits 2
+    (tmp_path / "solve_u.csv").mkdir()
+    assert main(["solve", "--format", "csv", "--grid-n", "16", "--out", str(tmp_path)]) == 2
+    assert [p.name for p in tmp_path.rglob("*")] == ["solve_u.csv"]
 
 
 def test_cli_exit_codes(tmp_path, capsys):

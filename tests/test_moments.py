@@ -1,6 +1,6 @@
 import tracemalloc
 import warnings
-from math import factorial
+from math import factorial, fsum
 
 import numpy as np
 import pytest
@@ -13,14 +13,14 @@ from dbarkit.grid import BLOCK_NODES, Field, boundary_mass
 from dbarkit.moments import (
     MOMENT_J,
     _l1_norm,
-    _pairwise_sum,
     _probe_rules,
     bargmann_probe,
     diagonal_restriction,
     fourier2,
     moments,
 )
-from oracles import bargmann_probe_dense, integrate, moments_gathered, pairing
+from oracles import (bargmann_probe_dense, fold_depth, integrate, moments_gathered, pairing,
+                     rounding_bound, sum_depth)
 
 
 @pytest.fixture(scope="module")
@@ -101,13 +101,20 @@ def test_compliant_datum_moments_vanish(grid_fine, compliant_fine):
 
 
 def _assert_moments_match_oracle(f, J):
-    """``moments(f, J)`` equals the gathered oracle to the bit, warning and all."""
+    """``moments(f, J)`` equals the gathered oracle, which adds the same terms
+    z^j a in one ``np.sum``, within the rounding bound of the two summation
+    orders; and it warns as the oracle does."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         got = moments(f, J)
         ref = moments_gathered(f, J)
     assert got.J == ref.J == J
-    assert got.m.view(np.uint64).tolist() == ref.m.view(np.uint64).tolist()
+    g = f.grid
+    nz = f.values != 0
+    mod, a = np.abs(g.nodes[nz]), np.abs(f.values[nz])
+    magnitude = g.spacing**2 * np.array([np.sum(mod**j * a) for j in range(J + 1)])
+    bound = rounding_bound(magnitude, fold_depth(g.n), sum_depth(a.size))
+    assert np.all(np.abs(got.m - ref.m) <= bound)
     assert len(caught) in (0, 2)
     assert [str(w.message) for w in caught[:1]] == [str(w.message) for w in caught[1:]]
 
@@ -153,37 +160,59 @@ def test_streamed_moments_match_oracle_at_the_edges(datum):
         _assert_moments_match_oracle(Field(build_grid(6.0, n), v), J)
 
 
+def _block_order_sum(v, size):
+    """The sums of runs of ``size`` terms of ``v``, added in order from 0, as
+    ``moments._fold`` adds its blocks' sums."""
+    total = 0.0
+    for i in range(0, v.size, size):
+        total += np.sum(v[i:i + size])
+    return total
+
+
+def _assert_block_order_within_bound(v, size, components):
+    """``np.sum(v)`` is within the bound of numpy's pairwise tree of the exact
+    sum, and the block-order sum within the bound of the two orders of it."""
+    blocks = -(-v.size // size)
+    parts = (v.real, v.imag) if components == 2 else (v,)
+    for part in parts:
+        exact = fsum(part)
+        assert abs(np.sum(part) - exact) <= rounding_bound(
+            np.sum(np.abs(part)), sum_depth(v.size), components=1)
+    assert abs(_block_order_sum(v, size) - np.sum(v)) <= rounding_bound(
+        np.sum(np.abs(v)), sum_depth(size) + blocks, sum_depth(v.size), components=components)
+
+
 @pytest.mark.parametrize("size", [64, BLOCK_NODES])
 @pytest.mark.parametrize("count", [*range(1, 21), *range(127, 131), 8191, 8192, 8193, 141488])
 def test_pairwise_tree_is_numpys_sum(count, size):
-    # fails loudly if numpy changes where its pairwise complex sum splits
+    # numpy's pairwise complex sum takes at most ``sum_depth`` additions per
+    # term, which the moment tests' bounds assume; fails loudly if it ever
+    # takes more, on terms spread over 16 orders of magnitude
     rng = np.random.default_rng(count)
     v = rng.standard_normal(count) * 10.0 ** rng.uniform(-8, 8, count)
     v = v + 1j * rng.standard_normal(count) * 10.0 ** rng.uniform(-8, 8, count)
-    got = _pairwise_sum(lambda lo, hi: np.sum(v[lo:hi]), 0, count, size)
-    assert got == np.sum(v)
+    _assert_block_order_within_bound(v, size, components=2)
 
 
 @pytest.mark.parametrize("size", [128, BLOCK_NODES])
 @pytest.mark.parametrize("count", [1, 8, 9, 129, *range(255, 259), 34969, 65024, 65025])
 def test_pairwise_tree_is_numpys_real_sum(count, size):
-    # numpy splits a real sum at half its count rounded down to a multiple
-    # of 8, a complex one at half of that rounding of its count
+    # as for complex sums, for the real sums of ``_l1_norm``
     rng = np.random.default_rng(count)
     v = rng.standard_normal(count) * 10.0 ** rng.uniform(-8, 8, count)
-    got = _pairwise_sum(lambda lo, hi: np.sum(v[lo:hi]), 0, count, size, width=1)
-    assert got == np.sum(v)
+    _assert_block_order_within_bound(v, size, components=1)
 
 
 @pytest.mark.parametrize("n", [9, 187, 255, 1024])
 def test_l1_norm_is_the_full_grid_sum(n):
-    # n = 187 (n^2 = 34969, 9 mod 16) is where the complex tree would differ
     g = build_grid(6.0, n)
     for f in (random_suite(1, 42)[0].sample_dbar(g),
               sample(lambda z: -z * np.exp(-np.abs(z) ** 2), g),
               sample(lambda z: np.exp(-np.abs(z) ** 2), g)):
         h = g.spacing
-        assert _l1_norm(f) == float(h * h * np.sum(np.abs(f.values)))
+        ref = float(h * h * np.sum(np.abs(f.values)))
+        bound = rounding_bound(ref, fold_depth(n), sum_depth(n * n), components=1)
+        assert abs(_l1_norm(f) - ref) <= bound
 
 
 def _traced_peak_mib(fn):
@@ -197,9 +226,9 @@ def _traced_peak_mib(fn):
 
 def test_dense_moments_stream_in_little_memory(grid_1024):
     # a gathered kernel peaks at 49.0 MiB here: three full-length copies of
-    # a dense field and the warning's weight
+    # a dense field and the warning's weight; the row-block fold, at 1.6 MiB
     g = sample(lambda z: np.exp(-np.abs(z) ** 2), grid_1024)
-    assert _traced_peak_mib(lambda: moments(g, 10)) < 8.0
+    assert _traced_peak_mib(lambda: moments(g, 10)) < 2.5
 
 
 @pytest.mark.parametrize("n", [257, 513])
