@@ -487,15 +487,15 @@ def test_diagonal_alone_reads_what_all_reads(all_run):
 
 def test_moments_alone_takes_no_diagonal(monkeypatch, all_run):
     cli = importlib.import_module("dbarkit.cli")
-    fold, freqs = cli._fold, []
+    fold, asked = cli._fold, []
 
-    def counted_fold(g, blocks, J=None, l1=False, freqs_=None):
-        freqs.append(freqs_)
-        return fold(g, blocks, J, l1, freqs_)
+    def counted_fold(g, blocks, J=None, l1=False, freqs=None):
+        asked.append(freqs)
+        return fold(g, blocks, J, l1, freqs)
 
     monkeypatch.setattr(cli, "_fold", counted_fold)
     alone = run(load_config(), "moments")
-    assert freqs == [None, None]
+    assert asked == [None, None]
     assert _parts(alone, "moments") == _parts(all_run[0], "moments")
 
 
@@ -530,8 +530,12 @@ def test_memo_fold_is_the_fields_reduction(name, n, radius):
     grid = build_grid(radius, n)
     streamed, caught = _recorded(lambda: cli.RunMemo(42, ["diagonal"]).reduced(name, grid))
     f = cli.RunMemo(42)[name, grid]
-    (mv, l1, ds), ref_caught = _recorded(
-        lambda: (lambda mv: (mv, _l1_norm(f), diagonal_restriction(f, mv)))(moments(f, MOMENT_J)))
+
+    def reductions():
+        mv = moments(f, MOMENT_J)
+        return mv, _l1_norm(f), diagonal_restriction(f, mv)
+
+    (mv, l1, ds), ref_caught = _recorded(reductions)
     assert caught == ref_caught
     h2, depth = grid.spacing**2, fold_depth(n)
     nz = f.values != 0
@@ -540,8 +544,8 @@ def test_memo_fold_is_the_fields_reduction(name, n, radius):
     assert np.all(np.abs(streamed.moments.m - mv.m) <= rounding_bound(magnitude, depth, depth))
     assert abs(streamed.l1 - l1) <= rounding_bound(l1, depth, depth, components=1)
     # each term ex f ey of the diagonal takes at most n additions in the product
-    # over rows, one per block and a column sum, after two complex products
-    # (within sqrt(2) gamma_2 each: six units cover both)
+    # over columns, a sum over a block's rows and one addition per block, after
+    # two complex products (within sqrt(2) gamma_2 each: six units cover both)
     xi, x = ds.xi_samples, grid.axis
     ex, ey = (np.exp(np.outer(np.imag(k), x)) for k in (xi, 1j * xi))  # |e^{-i k x}|
     magnitude = h2 * np.sum((ex @ np.abs(f.values)) * ey, axis=1)
