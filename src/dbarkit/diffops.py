@@ -32,23 +32,21 @@ def _dbar_symbol(k: np.ndarray, rows: slice) -> np.ndarray:
     return 0.5 * (1j * k[rows, None] - k[None, :])
 
 
-def _fft2(rows, shape, inverse=False, columns=None, out=None) -> np.ndarray:
+def _fft2(rows, shape, inverse=False, out=None, rows_only=False) -> np.ndarray:
     """``np.fft.fft2`` (``ifft2`` if ``inverse``) to the bit, of the array of
     ``shape`` whose rows ``r`` (a slice) are ``rows(r)``, zero-padded on the right.
 
     numpy's order, each block one 1-D transform written in place into ``out``
     (a new array by default): axis 1 over blocks of whole rows, then axis 0
-    over blocks of whole columns. The blocks hold at most ``BLOCK_NODES``
-    nodes and go to ``_map_blocks``, so an n = 256 grid stays on the caller's
-    thread; pocketfft releases the interpreter lock, so more threads pay from
-    n = 512. The axis-0 pass runs on ``columns`` only (a slice, default all;
-    ``slice(0)`` skips it); the other columns are left after the row pass.
+    over blocks of whole columns, unless ``rows_only``. The blocks hold at
+    most ``BLOCK_NODES`` nodes and go to ``_map_blocks``, so an n = 256 grid
+    stays on the caller's thread; pocketfft releases the interpreter lock, so
+    more threads pay from n = 512.
     ``rows`` runs in the worker threads and may write into its rows of ``out``.
     """
     m0, m1 = shape
     out = np.empty(shape, dtype=complex) if out is None else out
     fft = np.fft.ifft if inverse else np.fft.fft
-    cols = range(m1)[columns] if columns else range(m1)
 
     def row_pass(r):
         fft(rows(r), n=m1, axis=1, out=out[r])
@@ -57,7 +55,8 @@ def _fft2(rows, shape, inverse=False, columns=None, out=None) -> np.ndarray:
         fft(out[:, c], axis=0, out=out[:, c])
 
     _map_blocks(row_pass, _line_blocks(0, m0, m1))
-    _map_blocks(column_pass, _line_blocks(cols.start, cols.stop, m0))
+    if not rows_only:
+        _map_blocks(column_pass, _line_blocks(0, m1, m0))
     return out
 
 

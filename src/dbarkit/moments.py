@@ -121,11 +121,6 @@ def _fold(g: Grid, blocks, J: int | None = None, l1: bool = False, freqs=None):
             float(h * h * total) if l1 else None, None if freqs is None else h * h * fhat)
 
 
-def _l1_norm(f: Field) -> float:
-    """h^2 sum |f|, one ``_fold`` over the row blocks of ``f``."""
-    return _fold(f.grid, f, l1=True)[1]
-
-
 def moments(f: Field, J: int) -> MomentVector:
     """m_j = integral z^j f dA for j = 0..J by midpoint quadrature: ``_fold``'s
     sums of z^j f over each row block's nonzero nodes, added in block order."""

@@ -10,15 +10,16 @@ data: for the seed-42 bump at R = 6, max|u - v| against the closed form v
 ``cauchy_transform`` is the independent quadrature of
 u(z) = (1/pi) integral f(w)/(z - w) dA(w), with the cell containing the
 target contributing zero (the kernel integrates to zero over any region
-symmetric about the target), evaluated as an FFT convolution on a 2n x 2n
-pad.  Error and residual are of order 2.0: for the seed-42 bump at R = 6 the
-sup error is 8.8e-2, 2.2e-2, 5.4e-3, 1.4e-3 at n = 128, 256, 512, 1024.
-The convolution runs on ``diffops._fft2``'s threaded row and column blocks
-and skips the datum's zero rows and the dropped columns; its bits are those
-of whole-array ``fft2``/``ifft2``.  The kernel is one division over every
-offset.  One transform at n = 1024 takes about 0.22-0.24 s on 2 vCPUs,
-against 0.30-0.33 s with two full pads and 0.86 s with the whole-array
-transforms.
+symmetric about the target), evaluated as a circular convolution of length
+2n per axis.  Error and residual are of order 2.0: for the seed-42 bump at
+R = 6 the sup error is 8.8e-2, 2.2e-2, 5.4e-3, 1.4e-3 at n = 128, 256, 512,
+1024.  The kernel's spectrum is fixed by a real (n + 1) x (n + 1) quarter,
+by its symmetry: the kernel is (h/pi)(A - i A^T), A real, odd in one offset
+and even in the other.  Blocks of columns form their part of the spectrum
+from the quarter and transform there, so no 2n x 2n array is made.  The
+blocks depend on n alone, so the bits do not depend on the CPU count, and
+the result is within FFT rounding of the pad convolution
+``ifft2(fft2(K, s) * fft2(f, s))``.
 
 The growing-weight bound (constant 1/2) and the classical bound via the
 Fock-space projection are evaluated on the datum's support disk, where both
@@ -30,9 +31,7 @@ The Fock projection works on a quarter of the grid, by the square's
 symmetry z -> iz, and sums its series up to a degree K taken from the
 series' tail bound (``_fock_terms``), K <= ``FOCK_TERMS``; the seed-42
 datum at n = 1024 takes K = 53.  Its result, and every report, does not
-depend on the CPU count.  At n = 1024 on 2 vCPUs (medians of 15 calls) one
-projection takes 0.08 s and ``check_hormander_bound`` 0.18 s, against 0.34
-and 0.90 s over blocks of whole rows with k = 0..120.
+depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from . import diffops
 from .errors import DynamicRangeError, InvalidArgumentError
 from .grid import (Field, Grid, _abs2_sum, _disk, _line_blocks, _map_blocks, _nodes,
                    _nonzero_lines)
-from .moments import MOMENT_J, _l1_norm, _monomial_sums, moments
+from .moments import MOMENT_J, _fold, _monomial_sums
 from .weights import EXP_CAP, Weight, curvature_margin
 
 # a node holds significant mass when |f| there exceeds this fraction of its peak
@@ -96,56 +95,96 @@ def support_radius(f: Field) -> float:
 def cauchy_transform(f: Field) -> Field:
     """Quadrature of u(z) = (1/pi) integral f(w)/(z-w) dA(w), diagonal cell -> 0.
 
-    Kernel (h/pi)/(j + i k) over node offsets, circular length 2n per axis:
-    an alias of a kept index n-1 .. 2n-2 lies at >= 3n-1, past the last
-    linear-convolution entry 3n-3, so none wraps around.
+    A circular convolution of length 2n per axis with the kernel
+    (h/pi)/(j + i k) placed at index (j mod 2n, k mod 2n) for |j|, |k| < n,
+    0 at offset 0 and at index n: the kept indices 0 .. n-1 take every
+    node-to-node offset once, and none wraps around.  (The pad convolution
+    places offset 0 at index n - 1 and keeps n - 1 .. 2n - 2: the same sums,
+    but a phase factor in the kernel's spectrum.)  The spectrum is formed
+    from its real quarter (``_cauchy_quarter``), one block of columns at a
+    time (``_cauchy_spectrum``), never whole.
 
-    The bits are those of ``ifft2(fft2(K, s) * fft2(f, s))`` at s = (2n, 2n),
-    with less work and memory: the kernel, one division over all offsets
-    (``_cauchy_kernel``), is transformed in place; the datum's row pass
-    covers its rows from the first to the last nonzero one (a zero row
-    transforms to zeros), into a buffer of that many rows by 2n; one pass
-    over blocks of columns pads each block of the datum to 2n rows in a
-    scratch buffer, transforms it there and multiplies it into the kernel's
-    spectrum; the inverse runs in place, its column pass on the n kept
-    columns only.  At n = 1024 the spectra take 78 MB for the
-    seed-42 datum (424 nonzero rows), not the 128 MB of two full pads.
+    The datum's rows are row-transformed; one pass over blocks of columns
+    pads each block to 2n rows, transforms it, multiplies it by its part of
+    the spectrum and transforms it back into rows 0 .. n-1 of an n x 2n
+    buffer, whose inverse row pass ends the transform.  The blocks depend on
+    n alone: the bits are those of the same steps as whole-array numpy, for
+    any CPU count, and the result is within FFT rounding of the pad
+    convolution ``ifft2(fft2(K, s) * fft2(f, s))`` at s = (2n, 2n).
     """
-    n, h = f.grid.n, f.grid.spacing
-    shape = (2 * n, 2 * n)
-    K = _cauchy_kernel(n, h)
-    diffops._fft2(lambda r: K[r], shape, out=K)
+    n = f.grid.n
+    Q = _cauchy_quarter(n, f.grid.spacing)
     rows = _nonzero_lines(f.values, 1)  # the other rows' transforms are 0
     F = diffops._fft2(lambda r: f.values[rows][r], (rows.stop - rows.start, 2 * n),
-                      columns=slice(0))  # rows only
+                      rows_only=True)
+    G = np.empty((n, 2 * n), dtype=complex)
 
-    def column_product(c):  # K *= fft2 of the padded datum, on columns c
+    def column_product(c):
         pad = np.zeros((2 * n, c.stop - c.start), dtype=complex)
         pad[rows] = F[:, c]
         np.fft.fft(pad, axis=0, out=pad)
-        np.multiply(K[:, c], pad, out=K[:, c])
+        pad *= _cauchy_spectrum(Q, c)
+        np.fft.ifft(pad, axis=0, out=pad)
+        G[:, c] = pad[:n]
 
     _map_blocks(column_product, _line_blocks(0, 2 * n, 2 * n))
-    del F  # its buffer is free before the result is copied out of K
-    keep = slice(n - 1, 2 * n - 1)
-    conv = diffops._fft2(lambda r: K[r], shape, inverse=True, columns=keep, out=K)
-    return Field(f.grid, conv[keep, keep])  # a strided view: Field copies it, freeing the pad
+    del Q, F  # their buffers are free before the result is copied out of G
+    diffops._fft2(lambda r: G[r], G.shape, inverse=True, out=G, rows_only=True)
+    return Field(f.grid, G[:, :n])  # a strided view: Field copies it, freeing G
 
 
-def _cauchy_kernel(n: int, h: float) -> np.ndarray:
-    """The 2n x 2n kernel array: (h/pi)/(j + i k) at row j + n - 1 and column
-    k + n - 1 for offsets |j|, |k| < n, 0 at j = k = 0 and on the pad row and
-    column 2n - 1; one division over blocks of rows."""
-    K = np.zeros((2 * n, 2 * n), dtype=complex)
-    j = np.arange(1 - n, n, dtype=float)
+# The kernel (h/pi)/(j + i k) = (h/pi)(A(j, k) - i A(k, j)), with
+# A(j, k) = j / (j^2 + k^2) real, odd in j and even in k, 0 at j = k = 0.  So
+# A's length-2n DFT is -i S, S(p, q) = sum A(j, k) sin(pi j p / n) cos(pi k q / n)
+# real, odd in p and even in q, and the kernel's is
+# -(h/pi) (S(q, p) + i S(p, q)): the quarter Q = -(h/pi) S over p, q = 0..n
+# fixes all of it.
 
-    def divide(r):
-        with np.errstate(divide="ignore", invalid="ignore"):  # at the centre
-            np.divide(h / pi, j[r, None] + 1j * j, out=K[r, : 2 * n - 1])
 
-    _map_blocks(divide, _line_blocks(0, 2 * n - 1, 2 * n))
-    K[n - 1, n - 1] = 0.0
-    return K
+def _cauchy_quarter(n: int, h: float) -> np.ndarray:
+    """-(h/pi) S(p, q) for p, q = 0..n, as an (n + 1) x (n + 1) array.
+
+    Two passes of length-2n ``np.fft.rfft`` over ``_line_blocks``: a cosine
+    pass over k on rows j = 1..n-1 (the real part of the rfft of A's even
+    extension), into rows 1..n-1; then a sine pass over j on each column
+    (the imaginary part, -S, of the rfft of the odd extension), in place."""
+    Q = np.empty((n + 1, n + 1))
+    k2 = np.arange(n, dtype=float) ** 2
+
+    def cosines(r):
+        j = np.arange(r.start, r.stop, dtype=float)[:, None]
+        even = np.empty((r.stop - r.start, 2 * n))
+        np.divide(j, j * j + k2, out=even[:, :n])
+        even[:, n] = 0.0
+        even[:, n + 1:] = even[:, n - 1:0:-1]
+        Q[r] = np.fft.rfft(even, axis=1).real
+
+    def sines(c):  # a block's rows 1..n-1 are read whole before it is written
+        odd = np.zeros((2 * n, c.stop - c.start))
+        odd[1:n] = Q[1:n, c]
+        np.negative(Q[n - 1:0:-1, c], out=odd[n + 1:])
+        np.multiply(np.fft.rfft(odd, axis=0).imag, h / pi, out=Q[:, c])
+
+    _map_blocks(cosines, _line_blocks(1, n, 2 * n))
+    _map_blocks(sines, _line_blocks(0, n + 1, 2 * n))
+    return Q
+
+
+def _cauchy_spectrum(Q: np.ndarray, c: slice) -> np.ndarray:
+    """The kernel's spectrum Q(q, p) + i Q(p, q), Q extended by S's
+    parities, on the columns q in ``c`` and all 2n rows p: only the block's
+    rows and columns of the quarter ``Q`` are read."""
+    n = Q.shape[0] - 1
+    q = np.arange(c.start, c.stop)
+    at, sign = np.minimum(q, 2 * n - q), np.where(q > n, -1.0, 1.0)  # S(q, .) = sign S(at, .)
+    out = np.empty((2 * n, c.stop - c.start), dtype=complex)
+    rows = (Q[at] * sign[:, None]).T  # Q(q, p) on p = 0..n, even in p
+    out.real[: n + 1] = rows
+    out.real[n + 1:] = rows[n - 1:0:-1]
+    cols = Q[:, at]  # Q(p, q) on p = 0..n, odd in p
+    out.imag[: n + 1] = cols
+    np.negative(cols[n - 1:0:-1], out=out.imag[n + 1:])
+    return out
 
 
 def dbar_invert_spectral(f: Field) -> Field:
@@ -191,11 +230,10 @@ def solve_dbar(f: Field, w: Weight, slack: float = 0.01) -> SolutionReport:
     res = diffops.dbar(u, "spectral") - f
     residual_inf = diffops.interior_max(res, extra_band=2)
 
-    mv = moments(f, MOMENT_J)
+    mv, l1, _ = _fold(g, f, MOMENT_J, True)  # the moments and h^2 sum |f| in one pass
     moment_max = float(np.max(np.abs(mv.m)))
     r_sup = support_radius(f)
     h = g.spacing
-    l1 = _l1_norm(f)
     scale = np.array([max(1.0, r_sup) ** j for j in range(MOMENT_J + 1)])
     moment_rel_max = float(np.max(np.abs(mv.m) / (scale * max(l1, 1e-300))))
     flagged = moment_rel_max > MOMENT_REL_TOL

@@ -10,8 +10,11 @@
 * ``csv_rows_reference``: the CSV dump of a field, every number formatted
   by ``%``.
 * ``moments_gathered``: the moments from one full-length gather of the
-  datum's nonzero values and nodes, each m_j one ``np.sum``; and
-  ``rounding_bound``, the most two orders of one sum can differ by.
+  datum's nonzero values and nodes, each m_j one ``np.sum``; ``l1_norm``,
+  h^2 sum |f| from a fold of its own; and ``rounding_bound``, the most two
+  orders of one sum can differ by.
+* ``fft_error`` and ``fft_convolution_bound``: a priori normwise rounding
+  bounds of an FFT and of an FFT convolution (Higham 2002, §24.1).
 * ``bargmann_probe_dense``: the Plancherel probe on a fixed 3000 x 480 rule,
   with e^{x^2/beta} as its own factor on the right sides.
 * ``norm_identity_terms`` and ``norm_identity_fields``: the norms and the
@@ -40,7 +43,7 @@ from dbarkit import diffops
 from dbarkit.errors import InvalidArgumentError, TruncationMassWarning
 from dbarkit.grid import (BLOCK_NODES, FLOAT_FMT, Field, Grid, _line_blocks, _ring_mask,
                           boundary_mass, warn_boundary_mass, weighted_norm_sq)
-from dbarkit.moments import MATCH_TOL, BargmannProbeReport, MomentVector, _monomial_sums
+from dbarkit.moments import MATCH_TOL, BargmannProbeReport, MomentVector, _fold, _monomial_sums
 from dbarkit.solver import FOCK_TERMS, BoundReport, dbar_invert_spectral, support_radius
 
 FD4_BAND = 2
@@ -129,6 +132,12 @@ def moments_gathered(f: Field, J: int) -> MomentVector:
     return MomentVector(J, g.spacing * g.spacing * _monomial_sums(z, a, J))
 
 
+def l1_norm(f: Field) -> float:
+    """h^2 sum |f|, one ``moments._fold`` over the row blocks of ``f`` that
+    takes nothing else (the package folds it beside the moments)."""
+    return _fold(f.grid, f, l1=True)[1]
+
+
 # the unit roundoff of a double
 U = 2.0**-53
 
@@ -161,6 +170,46 @@ def rounding_bound(magnitude, *depths, components: int = 2):
     D^2 u^2 that the third unit covers, and sqrt(components) times that in
     modulus."""
     return sqrt(components) * (sum(depths) + 3) * U * magnitude
+
+
+def gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), the bound of k roundings (Higham 2002,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., §3.1)."""
+    return k * U / (1.0 - k * U)
+
+
+def fft_error(length: int) -> float:
+    """The normwise relative error of a computed length-``length`` FFT,
+    ||y' - y||_2 <= e ||y||_2: e = L eta / (1 - L eta), L = log2(length),
+    eta = mu + gamma_4 (sqrt 2 + mu), with the twiddles within mu = u
+    (Higham 2002, §24.1, Theorem 24.2, proved for radix 2; taken here as the
+    model of pocketfft's mixed-radix and real transforms)."""
+    eta = U + gamma(4) * (sqrt(2.0) + U)
+    t = log2(length) * eta
+    return t / (1.0 - t)
+
+
+def fft_convolution_bound(a, b, size: int, eps_a: float, eps_b: float, eps_inv: float) -> float:
+    """The most a computed circular convolution of the entries ``a`` and
+    ``b``, each placed on a ``size`` x ``size`` array, can differ from the
+    exact one in the 2-norm, when the computed spectra A' and B' are within
+    eps_a ||A||_2 and eps_b ||B||_2 of the exact A = fft2(a) and B = fft2(b),
+    their product rounds within sqrt(2) gamma_2 |A'| |B'| (Higham 2002,
+    Lemma 3.5) and the inverse within eps_inv of its exact output.
+
+    With N = ``size``, ||A||_2 = N ||a||_2, and |A| is the same wherever a
+    is placed; so the product's error is at most
+    N (eps_a |a|_2 |B|_inf + eps_b |A|_inf |b|_2 + eps_a eps_b N |a|_2 |b|_2)
+    + sqrt(2) gamma_2 (|A|_inf + eps_a N |a|_2)(1 + eps_b) N |b|_2, and the
+    inverse divides it by N, adding eps_inv of the computed product's norm
+    over N.  The norms, |A|_inf and |B|_inf are taken in floating point:
+    their rounding is of second order."""
+    n = float(size)
+    a2, b2 = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    a_sup, b_sup = (float(np.max(np.abs(np.fft.fft2(x, s=(size, size))))) for x in (a, b))
+    product = n * (eps_a * a2 * b_sup + eps_b * a_sup * b2 + eps_a * eps_b * n * a2 * b2)
+    product += sqrt(2.0) * gamma(2) * (a_sup + eps_a * n * a2) * (1.0 + eps_b) * n * b2
+    return (product * (1.0 + eps_inv) + eps_inv * a_sup * n * b2) / n
 
 
 def solve_sides_full_grid(f: Field, u: Field, w) -> tuple[float, float, float]:

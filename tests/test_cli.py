@@ -20,9 +20,9 @@ from dbarkit import build_grid, solver
 from dbarkit.cli import DEFAULT_CONFIG, build_parser, emit_report, load_config, main, run
 from dbarkit.errors import ConfigError, SamplingError
 from dbarkit.grid import _line_blocks
-from dbarkit.moments import MATCH_TOL, MOMENT_J, _l1_norm, diagonal_restriction, moments
+from dbarkit.moments import MATCH_TOL, MOMENT_J, diagonal_restriction, moments
 from dbarkit.weights import MARGIN_TOL
-from oracles import fold_depth, rounding_bound, sum_depth
+from oracles import fold_depth, l1_norm, rounding_bound, sum_depth
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -424,7 +424,7 @@ def all_run():
     """One in-process ``run(cfg, "all")`` at the defaults: its result, the
     (datum, n) of every sampling of a ``RunMemo.DATA`` datum, whole or in
     blocks, and the (n, J, l1, diagonal) of every ``moments._fold``."""
-    cli, mom = (importlib.import_module(f"dbarkit.{m}") for m in ("cli", "moments"))
+    cli, mom, sol = (importlib.import_module(f"dbarkit.{m}") for m in ("cli", "moments", "solver"))
     samplings, folds = [], []
     fold = mom._fold
 
@@ -440,7 +440,7 @@ def all_run():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli.RunMemo, "DATA", {k: counted(k, v) for k, v in cli.RunMemo.DATA.items()})
-        for module in (mom, cli):
+        for module in (mom, cli, sol):
             mp.setattr(module, "_fold", counted_fold)
         result = run(load_config(), "all")
     assert result["overall"]
@@ -462,11 +462,9 @@ def test_all_samples_the_compliant_datum_once_per_grid(counted_all_run):
 def test_all_takes_each_moment_vector_once(counted_all_run):
     _, folds = counted_all_run
     # solve's and sharpness's data at n = 256, the compliant datum and the
-    # Gaussian at 1024 (without the memo the last two are taken twice each)
-    assert sorted((n, J) for n, J, _, _ in folds if J is not None) == (
-        [(256, MOMENT_J)] * 2 + [(1024, MOMENT_J)] * 2)
-    # each moment-grid datum is reduced in one pass: moments, L1 norm and diagonal
-    assert [f for f in folds if f[0] == 1024] == [(1024, MOMENT_J, True, True)] * 2
+    # Gaussian at 1024 (without the memo the last two are taken twice each),
+    # each reduced in one pass: moments and L1 norm, and at 1024 the diagonal
+    assert sorted(folds) == [(256, MOMENT_J, True, False)] * 2 + [(1024, MOMENT_J, True, True)] * 2
 
 
 def _parts(result, name):
@@ -533,7 +531,7 @@ def test_memo_fold_is_the_fields_reduction(name, n, radius):
 
     def reductions():
         mv = moments(f, MOMENT_J)
-        return mv, _l1_norm(f), diagonal_restriction(f, mv)
+        return mv, l1_norm(f), diagonal_restriction(f, mv)
 
     (mv, l1, ds), ref_caught = _recorded(reductions)
     assert caught == ref_caught

@@ -12,15 +12,14 @@ from dbarkit.errors import BoundaryMassWarning, DynamicRangeError, InvalidArgume
 from dbarkit.grid import BLOCK_NODES, Field, boundary_mass
 from dbarkit.moments import (
     MOMENT_J,
-    _l1_norm,
     _probe_rules,
     bargmann_probe,
     diagonal_restriction,
     fourier2,
     moments,
 )
-from oracles import (bargmann_probe_dense, fold_depth, integrate, moments_gathered, pairing,
-                     rounding_bound, sum_depth)
+from oracles import (bargmann_probe_dense, fold_depth, integrate, l1_norm, moments_gathered,
+                     pairing, rounding_bound, sum_depth)
 
 
 @pytest.fixture(scope="module")
@@ -197,7 +196,7 @@ def test_pairwise_tree_is_numpys_sum(count, size):
 @pytest.mark.parametrize("size", [128, BLOCK_NODES])
 @pytest.mark.parametrize("count", [1, 8, 9, 129, *range(255, 259), 34969, 65024, 65025])
 def test_pairwise_tree_is_numpys_real_sum(count, size):
-    # as for complex sums, for the real sums of ``_l1_norm``
+    # as for complex sums, for the real sums of ``l1_norm``
     rng = np.random.default_rng(count)
     v = rng.standard_normal(count) * 10.0 ** rng.uniform(-8, 8, count)
     _assert_block_order_within_bound(v, size, components=1)
@@ -212,7 +211,7 @@ def test_l1_norm_is_the_full_grid_sum(n):
         h = g.spacing
         ref = float(h * h * np.sum(np.abs(f.values)))
         bound = rounding_bound(ref, fold_depth(n), sum_depth(n * n), components=1)
-        assert abs(_l1_norm(f) - ref) <= bound
+        assert abs(l1_norm(f) - ref) <= bound
 
 
 def _traced_peak_mib(fn):

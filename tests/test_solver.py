@@ -2,7 +2,7 @@ import contextlib
 import sys
 import threading
 import tracemalloc
-from math import lgamma, pi
+from math import lgamma, pi, sqrt
 
 import numpy as np
 import pytest
@@ -20,7 +20,8 @@ from dbarkit.solver import (
     support_radius,
     uniqueness_probe,
 )
-from oracles import check_hormander_bound_full_grid, solve_sides_full_grid
+from oracles import (U, check_hormander_bound_full_grid, fft_convolution_bound, fft_error, gamma,
+                     solve_sides_full_grid)
 
 
 @pytest.fixture(scope="module")
@@ -132,25 +133,53 @@ def test_cauchy_corner_spikes_do_not_wrap(n):
         assert np.max(np.abs((cauchy_transform(f) - cauchy_dense(f)).values)) < 1e-12
 
 
-def cauchy_fft2(f):
-    """Reference Cauchy transform: the whole-array 2-D FFTs on the 2n x 2n pad
-    that ``cauchy_transform`` reproduces bit for bit."""
-    n, h = f.grid.n, f.grid.spacing
-    s = (2 * n, 2 * n)
+def cauchy_kernel(n, h):
+    """The kernel (h/pi)/(j + i k) over the offsets |j|, |k| < n, 0 at j = k =
+    0, as a (2n - 1) x (2n - 1) array with offset (0, 0) at its centre."""
     j = np.arange(1 - n, n, dtype=float)
     K = j[:, None] + 1j * j[None, :]
     K[n - 1, n - 1] = 1.0
     np.divide(h / pi, K, out=K)
     K[n - 1, n - 1] = 0.0
-    K = np.fft.fft2(K, s=s)
-    K *= np.fft.fft2(f.values, s=s)
-    conv = np.fft.ifft2(K)
+    return K
+
+
+def cauchy_pad(f):
+    """The textbook Cauchy convolution: ``ifft2(fft2(K, s) * fft2(f, s))`` on
+    the 2n x 2n pad, rows and columns n-1 .. 2n-2 kept."""
+    n = f.grid.n
+    s = (2 * n, 2 * n)
+    conv = np.fft.ifft2(np.fft.fft2(cauchy_kernel(n, f.grid.spacing), s=s)
+                        * np.fft.fft2(f.values, s=s))
     return conv[n - 1 : 2 * n - 1, n - 1 : 2 * n - 1]
+
+
+def cauchy_fft2(f):
+    """Reference Cauchy transform: the kernel's quarter spectrum and the
+    convolution with the datum as whole-array numpy, which ``cauchy_transform``
+    reproduces bit for bit."""
+    n, h = f.grid.n, f.grid.spacing
+    j = np.arange(1, n, dtype=float)[:, None]
+    k = np.arange(n, dtype=float)
+    even = np.zeros((n - 1, 2 * n))  # A(j, k) = j / (j^2 + k^2), even in k
+    even[:, :n] = j / (j * j + k * k)
+    even[:, n + 1 :] = even[:, n - 1 : 0 : -1]
+    odd = np.zeros((2 * n, n + 1))  # its cosine sums, odd in j
+    odd[1:n] = np.fft.rfft(even, axis=1).real
+    odd[n + 1 :] = -odd[n - 1 : 0 : -1]
+    Q = np.fft.rfft(odd, axis=0).imag * (h / pi)  # -(h/pi) S(p, q), p, q = 0..n
+    p = np.arange(2 * n)
+    S = np.where(p > n, -1.0, 1.0)[:, None] * Q[np.ix_(np.minimum(p, 2 * n - p),
+                                                        np.minimum(p, 2 * n - p))]
+    Khat = np.empty((2 * n, 2 * n), dtype=complex)
+    Khat.real, Khat.imag = S.T, S
+    conv = np.fft.ifft(np.fft.fft2(f.values, s=(2 * n, 2 * n)) * Khat, axis=0)[:n]
+    return np.fft.ifft(conv, axis=1)[:, :n]
 
 
 @pytest.mark.parametrize("n", [64, 300, 512])
 def test_cauchy_is_bit_identical_to_whole_array_ffts(member, monkeypatch, n):
-    # three threads from n = 300 (12 and 32 row blocks of the 2n pad)
+    # three threads from n = 300 (12 and 32 column blocks of the 2n pad)
     monkeypatch.setattr(grid, "_usable_cpus", lambda: 3)
     f = member.sample_dbar(build_grid(6.0, n))
     ref = cauchy_fft2(f)
@@ -158,38 +187,101 @@ def test_cauchy_is_bit_identical_to_whole_array_ffts(member, monkeypatch, n):
     assert np.array_equal(out.view(np.int64), ref.view(np.int64))
 
 
+# A priori rounding of the kernel's spectrum, relative to its 2-norm
+# (``oracles.fft_convolution_bound``'s eps_a), with e = ``fft_error(2n)``:
+# - the pad's kernel rounds (h/pi) once and divides by j + i k within
+#   sqrt(2) gamma_7 (Higham 2002, Lemma 3.5); fft2 is two passes of e;
+# - the quarter's A(j, k) rounds once; each of its two rfft passes is within
+#   e of the full spectrum of its extension, and mirroring the half it keeps
+#   at most doubles the squared error (sqrt(2) e); the scaling by h/pi rounds
+#   twice.  S's two placements in the spectrum keep its relative error.
+def pad_kernel_error(n):
+    e = fft_error(2 * n)
+    return (1 + U) * (1 + sqrt(2) * gamma(7)) * (1 + e) ** 2 - 1
+
+
+def quarter_kernel_error(n):
+    e = fft_error(2 * n)
+    return (1 + U) * (1 + sqrt(2) * e) ** 2 * (1 + gamma(2)) - 1
+
+
+def datum_error(n):
+    return (1 + fft_error(2 * n)) ** 2 - 1  # fft2's two passes
+
+
+def inverse_error(n):
+    return ((1 + fft_error(2 * n)) * (1 + U)) ** 2 - 1  # two passes, each scaled by 1/(2n)
+
+
+def dense_datum(g):
+    rng = np.random.default_rng(g.n)
+    return Field(g, rng.standard_normal((g.n, g.n)) + 1j * rng.standard_normal((g.n, g.n)))
+
+
+@pytest.mark.parametrize("n", [8, 9, 33, 64, 300, 512])
+def test_cauchy_is_the_pad_convolution_within_fft_rounding(member, n):
+    # the bound is 860-38000 times the measured 2-norm distance, 2.6e-16 to
+    # 4.7e-16 of the pad convolution's norm (the least margin at n = 9 for
+    # the dense datum, the most at n = 512 for the dense datum): a worst-case
+    # bound grows with log2(2n), the rounding seen like its square root
+    g = build_grid(6.0, n)
+    K = cauchy_kernel(n, g.spacing)
+    for f in (member.sample_dbar(g), dense_datum(g)):
+        bound = sum(fft_convolution_bound(K, f.values, 2 * n, eps_a, datum_error(n),
+                                          inverse_error(n))
+                    for eps_a in (pad_kernel_error(n), quarter_kernel_error(n)))
+        assert np.linalg.norm(cauchy_transform(f).values - cauchy_pad(f)) <= bound
+
+
+@pytest.mark.parametrize("n", [8, 9, 33, 64, 300])
+def test_cauchy_kernel_spectrum_is_the_placed_kernels_fft2(n):
+    # the spectrum formed from the quarter, against fft2 of the kernel placed
+    # at offset (j mod 2n, k mod 2n), 0 at offset n; the bound is 63-83 times
+    # the measured 2-norm distance (n = 33 and n = 300)
+    h = 12.0 / n
+    at = np.arange(1 - n, n) % (2 * n)
+    placed = np.zeros((2 * n, 2 * n), dtype=complex)
+    placed[np.ix_(at, at)] = K = cauchy_kernel(n, h)
+    Q = solver._cauchy_quarter(n, h)
+    Khat = solver._cauchy_spectrum(Q, slice(0, 2 * n))
+    bound = (pad_kernel_error(n) + quarter_kernel_error(n)) * 2 * n * np.linalg.norm(K)
+    assert np.linalg.norm(Khat - np.fft.fft2(placed)) <= bound
+
+
 def test_cauchy_fft_budget(member, monkeypatch):
     # 1-D transforms only, none past the 2n pad: the datum's n rows and 2n
-    # columns, the kernel's 2n - 1 rows and 2n columns, and the inverse's 2n
-    # rows and n kept columns
+    # columns; the kernel's n - 1 rows and n + 1 columns of length-2n rfft;
+    # the inverse's 2n columns and n rows
     n = 64
     lengths = []
-    lines = {"fft": 0, "ifft": 0}
-    for name in ("fft", "ifft"):
+    lines = {"fft": 0, "ifft": 0, "rfft": 0}
+    for name in lines:
         fn = getattr(np.fft, name)
 
-        def counted(a, *args, _fn=fn, _name=name, **kwargs):
-            out = _fn(a, *args, **kwargs)
-            length = out.shape[kwargs.get("axis", -1)]
-            lengths.append(length)
-            lines[_name] += out.size // length
-            return out
+        def counted(a, _fn=fn, _name=name, **kwargs):
+            axis = kwargs.get("axis", -1)
+            lengths.append(kwargs.get("n") or a.shape[axis])
+            lines[_name] += a.size // a.shape[axis]
+            return _fn(a, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
-    for name in ("fft2", "ifft2"):
+    for name in ("fft2", "ifft2", "rfft2", "irfft", "irfft2"):
         monkeypatch.setattr(np.fft, name, None)
     cauchy_transform(member.sample_dbar(build_grid(6.0, n)))
-    assert max(lengths) <= 2 * n
-    assert lines["fft"] <= (n + 2 * n) + (2 * n + 2 * n)
-    assert lines["ifft"] <= 2 * n + n
+    assert max(lengths) == 2 * n
+    assert lines["fft"] <= n + 2 * n
+    assert lines["rfft"] == (n - 1) + (n + 1)
+    assert lines["ifft"] == 2 * n + n
 
 
 def test_cauchy_peak_memory(member, monkeypatch):
-    # n = 256 on one thread: the kernel's 2n x 2n spectrum and the row pass
-    # of the datum's 106 nonzero rows peak at 5.6 MiB; with all n rows the
-    # row pass peaked at 6.8 MiB, and two 2n x 2n spectra at 9.1 MiB
+    # n = 512 on one thread: no array the size of one 2n x 2n complex
+    # spectrum, 16 (2n)^2 bytes = 16 MiB.  The quarter, the datum's row pass
+    # (212 nonzero rows), the n x 2n column-pass buffer and the column
+    # blocks peak at 14.66 MiB; the pad's kernel spectrum peaked at 20.25 MiB
     monkeypatch.setattr(grid, "_usable_cpus", lambda: 1)
-    f = member.sample_dbar(build_grid(6.0, 256))
+    n = 512
+    f = member.sample_dbar(build_grid(6.0, n))
     cauchy_transform(f)  # numpy's FFT plan caches fill on the first call
     tracemalloc.start()
     try:
@@ -197,7 +289,7 @@ def test_cauchy_peak_memory(member, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * 2**20
+    assert peak < 16 * (2 * n) ** 2
 
 
 def test_cauchy_converges_to_exact_inverse(member):
