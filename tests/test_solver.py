@@ -278,7 +278,7 @@ def test_cauchy_peak_memory(member, monkeypatch):
     # n = 512 on one thread: no array the size of one 2n x 2n complex
     # spectrum, 16 (2n)^2 bytes = 16 MiB.  The quarter, the datum's row pass
     # (212 nonzero rows), the n x 2n column-pass buffer and the column
-    # blocks peak at 14.66 MiB; the pad's kernel spectrum peaked at 20.25 MiB
+    # blocks peak at 14.64 MiB; the pad's kernel spectrum peaked at 20.25 MiB
     monkeypatch.setattr(grid, "_usable_cpus", lambda: 1)
     n = 512
     f = member.sample_dbar(build_grid(6.0, n))
