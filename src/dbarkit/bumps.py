@@ -12,11 +12,13 @@ discrete operators and the solver.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from .errors import InvalidArgumentError
 from .grid import Field, Grid, sample
 
 
@@ -25,10 +27,8 @@ class Poly2:
     """Polynomial sum c_{ab} z^a zbar^b, coefficients keyed by (a, b).
 
     Evaluated by nested Horner, in zbar for each power of z and then in z.
-    On the 141 488 support nodes of a suite member at n = 1024 that takes
-    about a third of the time of forming every power and summing the terms
-    (5.2 against 15.8 ms), and the values differ from that sum by rounding:
-    at most 6.4e-16 of sum |c_{ab}| |z|^(a+b) over the seed-42 suite."""
+    The values differ from the sum of every term by rounding: at most
+    6.4e-16 of sum |c_{ab}| |z|^(a+b) over the seed-42 suite."""
 
     coeffs: tuple
 
@@ -148,9 +148,70 @@ RHO_RANGE = (1.8, 2.6)
 POLY_DEGREE = 4
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(h: int, mult: int):
+    """SeedSequence's hash: xor with the constant, step it by ``mult``, multiply
+    by the new constant and fold the high half in, all modulo 2^32."""
+    def mix(value):
+        nonlocal h
+        value ^= h
+        h = h * mult & _M32
+        value = value * h & _M32
+        return value ^ value >> 16
+    return mix
+
+
+def _seed_state(seed: int) -> list:
+    """numpy's ``SeedSequence(seed).generate_state(4, np.uint64)``: the seed's
+    little-endian 32-bit words mixed into a pool of four, then drawn out."""
+    entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hashmix = _hashmix(0x8B51F9DD, 0x58F38DED)
+    out = [hashmix(pool[i % 4]) for i in range(8)]
+    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+class _Stream:
+    """The uniform draws of numpy's ``default_rng(seed)``, bit for bit: PCG64
+    (the XSL-RR output of a 128-bit LCG, O'Neill 2014) seeded by
+    ``SeedSequence`` as its ``srandom`` does, each double ``(x >> 11) 2^-53``."""
+
+    def __init__(self, seed: int):
+        s0, s1, i0, i1 = _seed_state(seed)
+        self.inc = ((i0 << 64 | i1) << 1 | 1) & _M128
+        self.state = (self.inc + (s0 << 64 | s1)) & _M128  # a step from 0 gives inc
+        self.state = (self.state * _PCG_MULT + self.inc) & _M128
+
+    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
+        """``Generator.uniform(low, high)``: low + (high - low) d."""
+        self.state = s = (self.state * _PCG_MULT + self.inc) & _M128
+        x, rot = (s >> 64 ^ s) & _M64, s >> 122
+        x = (x >> rot | x << (64 - rot)) & _M64
+        return float(low) + (float(high) - float(low)) * ((x >> 11) * 2.0**-53)
+
+
 def random_suite(count: int, seed: int) -> list[BumpPoly]:
-    """Seeded suite of bump-times-polynomial test functions."""
-    rng = np.random.default_rng(seed)
+    """Seeded suite of bump-times-polynomial test functions, drawn from the
+    stream of numpy's ``default_rng(seed)`` for a non-negative integer seed."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidArgumentError(f"seed must be a non-negative integer, got {seed!r}")
+    rng = _Stream(int(seed))
     suite = []
     for _ in range(count):
         c = MAX_CENTER * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
@@ -163,4 +224,3 @@ def random_suite(count: int, seed: int) -> list[BumpPoly]:
                 coeffs[(a, b)] = r * np.exp(1j * th)
         suite.append(BumpPoly(c, rho, Poly2.from_dict(coeffs)))
     return suite
-

@@ -397,12 +397,12 @@ def emit_report(result: dict, cfg: dict) -> list[str]:
     made = []  # the temporary and renamed files of this call
     try:
         for name, art in files.items():
-            with (out / f".{name}.{os.getpid()}.tmp").open("x") as fh:
+            with (out / f".{name}.{os.getpid()}.tmp").open("xb") as fh:
                 made.append(Path(fh.name))
                 if isinstance(art, Field):
                     write_field_csv(art, fh)
                 else:
-                    fh.write(art)
+                    fh.write(art.encode("ascii"))
         for tmp, name in zip(list(made), files):
             made.append(tmp.replace(out / name))
     except BaseException:

@@ -10,9 +10,7 @@ symbol that of conj o dbar o conj, Nyquist lines included.
 Spectral operators transform through ``_fft2``, which gives numpy's
 ``fft2``/``ifft2`` to the bit from 1-D transforms over blocks of whole rows
 and then whole columns, spread over the usable CPUs, with each symbol built
-row block by row block inside the inverse's row pass.  One 2-D transform at
-n = 1024 takes about 29 ms on 2 vCPUs against 42 ms for ``np.fft.fft2``, and
-at n = 2048 about 130 against 230 ms.
+row block by row block inside the inverse's row pass.
 """
 
 from __future__ import annotations

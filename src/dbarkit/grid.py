@@ -178,12 +178,14 @@ def _abs2_sum(b: np.ndarray, weight=None):
     return np.sum(b2 if weight is None else b2 * weight)
 
 
-def boundary_mass(v: Field) -> float:
+def boundary_mass(v: Field, rows: slice = slice(None), cols: slice = slice(None)) -> float:
     """Relative sup of |v| on the ``RING_FRAC`` boundary ring of the square,
-    or 0 where v is all zero."""
-    mag = np.abs(v.values)
+    or 0 where v is all zero; read on the box ``rows`` x ``cols`` alone,
+    which must hold every nonzero of v (zeros add nothing to a maximum)."""
+    mag = np.abs(v.values[rows, cols])
     peak = np.max(mag, initial=0.0)
-    return float(np.max(mag[_ring_mask(v.grid.n)]) / peak) if peak else 0.0
+    ring = np.max(mag[_ring_mask(v.grid.n, rows)[:, cols]], initial=0.0)
+    return float(ring / peak) if peak else 0.0
 
 
 def _ring_mask(n: int, rows: slice = slice(None)) -> np.ndarray:
@@ -208,7 +210,7 @@ def warn_boundary_mass(m: float, threshold: float = 1e-14, context: str = "field
 
 
 def write_field_csv(v: Field, fh) -> None:
-    """Write the CSV dump of ``v`` to the text stream ``fh``.
+    """Write the CSV dump of ``v``, ASCII bytes, to the binary stream ``fh``.
 
     Header re,im,val_re,val_im, then one row per node in row-major order,
     each number exactly as ``FLOAT_FMT % x`` prints it.  The axis coordinates
@@ -246,14 +248,14 @@ def write_field_csv(v: Field, fh) -> None:
     _float_tables()  # built here, before any worker thread starts
     blocks = _line_blocks(0, n, 2 * n)
     group = 2 * _usable_cpus()
-    fh.write("re,im,val_re,val_im\n")
+    fh.write(b"re,im,val_re,val_im\n")
     for i in range(0, len(blocks), group):
         for text in _map_blocks(lambda rows: _csv_text(v.values[rows], xs, rows),
                                 blocks[i:i + group]):
             fh.write(text)
 
 
-def _csv_text(values: np.ndarray, xs: np.ndarray, rows: slice) -> str:
+def _csv_text(values: np.ndarray, xs: np.ndarray, rows: slice) -> bytes:
     """The CSV lines of the grid rows ``rows``, whose ``values`` these are;
     ``xs`` holds the axis coordinates as NUL-padded ``x,`` byte strings."""
     r, n = values.shape
@@ -266,7 +268,7 @@ def _csv_text(values: np.ndarray, xs: np.ndarray, rows: slice) -> str:
     lines[:, :, -1] = ord("\n")
     # one grid row at a time, so the index array behind the NUL drop stays small
     return b"".join(np.compress(line != 0, line).tobytes()
-                    for line in lines.reshape(r, -1)).decode("ascii")
+                    for line in lines.reshape(r, -1))
 
 
 def _usable_cpus() -> int:
@@ -311,14 +313,12 @@ def _map_blocks(fn, blocks: list) -> list:
     per usable CPU (the caller's among them), each taking two blocks or more;
     the first exception of a block is raised once all have ended.
 
-    On two blocks of 128 grid rows (n = 256), one thread beats two:
-    ``diffops.dbar`` takes 4.2 ms against 5.2 ms with a thread per block on
-    2 vCPUs (medians of 41 calls), as every numpy call hands the interpreter
-    lock over. ``fn`` calls no name perfbench's tracer opens a span for
-    (``Grid.nodes``, ``Field(...)``, a public dbarkit function): the tracer's
-    span stack is shared by all threads, so such a call from a worker would
-    corrupt the span tree. ``numpy.fft`` is fine, as the tracer only counts
-    its calls.
+    On two blocks of 128 grid rows (n = 256), one thread beats two, as every
+    numpy call hands the interpreter lock over. ``fn`` calls no name
+    perfbench's tracer opens a span for (``Grid.nodes``, ``Field(...)``, a
+    public dbarkit function): the tracer's span stack is shared by all
+    threads, so such a call from a worker would corrupt the span tree.
+    ``numpy.fft`` is fine, as the tracer only counts its calls.
     """
     count = len(blocks)
     workers = min(_usable_cpus(), count // 2)
@@ -505,6 +505,6 @@ def _float_fields(a: np.ndarray) -> np.ndarray:
 
 def field_to_csv(v: Field) -> str:
     """The CSV dump of ``v`` (see ``write_field_csv``) as one string."""
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_field_csv(v, buf)
-    return buf.getvalue()
+    return buf.getvalue().decode("ascii")

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from math import ceil, factorial, inf, pi, sqrt
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .errors import DynamicRangeError, InvalidArgumentError, TruncationMassWarning
 from .grid import (FLOAT_FMT, Field, Grid, _line_blocks, _nodes, _nonzero_lines, _ring_mask,
@@ -157,8 +156,16 @@ def diagonal_restriction(f: Field, mv: MomentVector, xi_samples=None) -> Diagona
 
 def _diagonal(xi_samples, values, mv: MomentVector) -> DiagonalSeries:
     """The quadrature ``values`` at ``xi_samples`` beside the series of ``mv``."""
-    series = polyval(-1j * xi_samples, mv.m / [factorial(j) for j in range(mv.J + 1)])
+    series = _horner(-1j * xi_samples, mv.m / [factorial(j) for j in range(mv.J + 1)])
     return DiagonalSeries(xi_samples, values, series)
+
+
+def _horner(x, c: np.ndarray):
+    """sum_k c[k] x^k by Horner, in the operations of numpy's ``polyval``."""
+    c0 = c[-1] + x * 0
+    for i in range(2, len(c) + 1):
+        c0 = c[-i] + c0 * x
+    return c0
 
 
 @dataclass(frozen=True)

@@ -40,13 +40,12 @@ from dataclasses import dataclass
 from math import exp, lgamma, pi, sqrt
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from . import diffops
 from .errors import DynamicRangeError, InvalidArgumentError
 from .grid import (Field, Grid, _abs2_sum, _disk, _line_blocks, _map_blocks, _nodes,
                    _nonzero_lines)
-from .moments import MOMENT_J, _fold, _monomial_sums
+from .moments import MOMENT_J, _fold, _horner, _monomial_sums
 from .weights import EXP_CAP, Weight, curvature_margin
 
 # a node holds significant mass when |f| there exceeds this fraction of its peak
@@ -287,7 +286,7 @@ def fock_bergman_project(u: Field) -> Field:
     _map_blocks(series, _quarter_blocks(n))
     centre = _centre(g)
     if centre:
-        out[centre[0]] = polyval(centre[1], c)
+        out[centre[0]] = _horner(centre[1], c)
     return Field(g, out)
 
 
@@ -331,7 +330,7 @@ def check_hormander_bound(f: Field, w: Weight, slack: float = 0.01) -> BoundRepo
     centre = _centre(g)
     if centre:
         at, zc, gc = centre
-        pc = polyval(zc, c)
+        pc = _horner(zc, c)
         lhs += abs(pc - u[at]) ** 2 * gc
         rhs += abs(fv[at]) ** 2 * gc / w.lap_hat_phi(zc)
         dsums += _monomial_sums(np.conj([zc]), np.array([pc * gc]), terms)
@@ -343,7 +342,7 @@ def check_hormander_bound(f: Field, w: Weight, slack: float = 0.01) -> BoundRepo
 
     idem = sum(_map_blocks(residual, blocks))
     if centre:
-        idem += abs(polyval(zc, e)) ** 2 * gc
+        idem += abs(_horner(zc, e)) ** 2 * gc
     h1_lhs, h1_rhs = float(h * h * lhs), float(0.5 * h * h * rhs)
     return BoundReport(h1_lhs, h1_rhs, h1_lhs <= h1_rhs * (1.0 + slack), sqrt(h * h * idem))
 

@@ -723,3 +723,25 @@ def test_cli_import_loads_no_process_pool():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
     assert proc.stdout.strip() == "[] 0"
+
+
+def test_a_run_loads_only_numpy_core_and_fft(tmp_path):
+    """``all`` and a CSV ``solve`` in one fresh interpreter leave no
+    ``numpy.random`` (and OpenSSL behind its ``secrets``) and no
+    ``numpy.polynomial`` loaded: the suite's stream and the moment series are
+    dbarkit's own."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    code = ("import sys; from dbarkit.cli import main; "
+            f"codes = [main([*a, '--grid-n', '16', '--out', {str(tmp_path)!r}]) "
+            "for a in (['all'], ['solve', '--format', 'csv'])]; "
+            "assert set(codes) <= {0, 1}, codes; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('secrets', 'hashlib', '_hashlib') or m.startswith(('numpy.random', "
+            "'numpy.polynomial'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "solve_u.csv").is_file()

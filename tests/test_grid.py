@@ -1,6 +1,7 @@
 import ast
 import functools
 import os
+import re
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -105,6 +106,24 @@ def test_only_grid_nodes_builds_node_parts():
                          if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef))
                          and _assigns_node_parts(scope)]
     assert builders == ["grid._nodes"]
+
+
+def test_docstrings_carry_no_measured_figures():
+    # timings and memory figures go stale with every change; they belong in
+    # CHANGES.md, and the docstrings keep the contracts
+    figure = re.compile(r"\d\s*(ms|MB|MiB)\b")
+    found = []
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name)) as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                     ast.AsyncFunctionDef)):
+                    doc = ast.get_docstring(node) or ""
+                    found += [f"{name}:{getattr(node, 'name', '<module>')}: {m.group()}"
+                              for m in figure.finditer(doc)]
+    assert found == []
 
 
 def horner_reference(poly, z):
@@ -367,7 +386,7 @@ def test_csv_of_the_solve_field_at_n1024(tmp_path, monkeypatch):
     path = tmp_path / "u.csv"
     tracemalloc.start()
     try:
-        with path.open("w") as fh:
+        with path.open("wb") as fh:
             write_field_csv(u, fh)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -379,7 +398,7 @@ def test_csv_of_the_solve_field_at_n1024(tmp_path, monkeypatch):
 def test_write_field_csv_streams_the_same_bytes(tmp_path):
     v, reference = _bump_case(300)
     path = tmp_path / "v.csv"
-    with path.open("w") as fh:
+    with path.open("wb") as fh:
         write_field_csv(v, fh)
     text = path.read_text()
     assert text == field_to_csv(v)
@@ -396,9 +415,9 @@ def test_csv_row_blocks_write_the_serial_bytes(tmp_path, monkeypatch):
         for cpus in (1, 2, 3):
             monkeypatch.setattr(os, "sched_getaffinity", lambda _, c=cpus: set(range(c)))
             path = tmp_path / f"v{n}-{cpus}.csv"
-            with path.open("w") as fh:
+            with path.open("wb") as fh:
                 # still in fh's buffer when the blocks are formatted: it is written once
-                fh.write("prefix\n")
+                fh.write(b"prefix\n")
                 write_field_csv(v, fh)
             assert path.read_text() == "prefix\n" + reference
 

@@ -7,11 +7,12 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from dbarkit import build_grid, custom_weight, fock_weight, grid, sample, verify_norm_identity
+from dbarkit import (build_grid, custom_weight, fock_weight, grid, identity, sample,
+                     verify_norm_identity)
 from dbarkit.bumps import random_suite
 from dbarkit.diffops import dbar
 from dbarkit.errors import BoundaryMassWarning, DynamicRangeError, SamplingError
-from dbarkit.grid import Field, Grid
+from dbarkit.grid import Field, Grid, boundary_mass
 from oracles import (
     apply_T,
     apply_Tstar,
@@ -309,3 +310,32 @@ def test_identity_peak_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2.75 * 2**20
+
+
+def _boxed(g, rows, cols, seed):
+    """A field that is random on the box ``rows`` x ``cols`` and 0 off it."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros((g.n, g.n), dtype=complex)
+    shape = a[rows, cols].shape
+    a[rows, cols] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return Field(g, a)
+
+
+def test_identity_reads_boundary_mass_from_the_box(monkeypatch, grid_default, suite20):
+    """The warning's ratio, read on the datum's nonzero box, is the whole
+    grid's ``boundary_mass`` to the bit: for suite members, whose supports stay
+    clear of the ring, boxes that reach into it across rows, columns or a
+    corner, and the zero field."""
+    seen = []
+    monkeypatch.setattr(identity, "warn_boundary_mass", lambda m, **_: seen.append(m))
+    g = grid_default
+    fields = [m.sample(g) for m in suite20]
+    fields += [_boxed(g, rows, cols, k) for k, (rows, cols) in enumerate([
+        (slice(2, 40), slice(100, 150)), (slice(100, 150), slice(230, 256)),
+        (slice(240, 256), slice(0, 20)), (slice(120, 130), slice(0, 256))])]
+    fields.append(Field(g, np.zeros((g.n, g.n), dtype=complex)))
+    for v in fields:
+        verify_norm_identity(v, fock_weight(1.0))
+    want = [boundary_mass(v) for v in fields]
+    assert seen == want
+    assert want[:20] == [0.0] * 20 and min(want[20:24]) > 0.1 and want[-1] == 0.0

@@ -12,6 +12,7 @@ from dbarkit.errors import BoundaryMassWarning, DynamicRangeError, InvalidArgume
 from dbarkit.grid import BLOCK_NODES, Field, boundary_mass
 from dbarkit.moments import (
     MOMENT_J,
+    _horner,
     _probe_rules,
     bargmann_probe,
     diagonal_restriction,
@@ -438,3 +439,23 @@ def test_bargmann_finite_near_the_convergence_edge(beta):
     assert np.isfinite([rep.lhs, rep.rhs_literal, rep.rhs_quadratic]).all()
     assert abs(rep.rhs_quadratic - expect_quad) < 1e-10 * expect_quad
     assert rep.matching_reading == "quadratic"
+
+
+def test_horner_is_polyvals_bits():
+    """``_horner`` gives ``numpy.polynomial.polynomial.polyval``'s bits, on
+    complex arrays and on complex scalars, Python's and numpy's."""
+    from numpy.polynomial.polynomial import polyval
+
+    rng = np.random.default_rng(11)
+    for size in (1, 2, 11, 54):
+        c = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        c[::3] /= [float(factorial(j)) for j in range(0, size, 3)]
+        x = 2.5 * (rng.standard_normal(200) + 1j * rng.standard_normal(200))
+        for xs in (x, x.reshape(8, 25), -1j * x[:41]):
+            got, want = _horner(xs, c), polyval(xs, c)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for z in (complex(x[0]), x[1], complex(0.75, -0.75), 0j):
+            got, want = _horner(z, c), polyval(z, c)
+            assert type(got) is type(want)
+            assert np.array_equal(np.array([got]).view(np.int64), np.array([want]).view(np.int64))
