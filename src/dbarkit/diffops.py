@@ -9,8 +9,9 @@ symbol that of conj o dbar o conj, Nyquist lines included.
 
 Spectral operators transform through ``_fft2``, which gives numpy's
 ``fft2``/``ifft2`` to the bit from 1-D transforms over blocks of whole rows
-and then whole columns, spread over the usable CPUs, with each symbol built
-row block by row block inside the inverse's row pass.
+and then whole columns, spread over the usable CPUs, with the symbol built
+row block by row block inside the inverse's row pass, which writes into the
+forward spectrum's own buffer.
 """
 
 from __future__ import annotations
@@ -58,14 +59,13 @@ def _fft2(rows, shape, inverse=False, out=None, rows_only=False) -> np.ndarray:
     return out
 
 
-def _spectral(v: Field, *symbols) -> tuple[Field, ...]:
-    """ifft2(symbol * fft2(v)) for each symbol, sharing one forward FFT; a
-    symbol is a function of a row slice giving those rows of it, built block
-    by block in the inverse's row pass."""
+def _spectral(v: Field, symbol) -> Field:
+    """ifft2(symbol * fft2(v)), the symbol a function of a row slice giving
+    those rows of it, built block by block in the inverse's row pass."""
     a = v.values
     V = _fft2(lambda r: a[r], a.shape)
-    return tuple(Field(v.grid, _fft2(lambda r, s=s: s(r) * V[r], a.shape, inverse=True))
-                 for s in symbols)
+    # in place: a row block of V is read whole before its inverse overwrites it
+    return Field(v.grid, _fft2(lambda r: symbol(r) * V[r], a.shape, inverse=True, out=V))
 
 
 def dbar(v: Field, scheme: str = "spectral") -> Field:
@@ -75,13 +75,13 @@ def dbar(v: Field, scheme: str = "spectral") -> Field:
     if scheme != "spectral":
         raise InvalidArgumentError(f"unknown scheme {scheme!r}; only 'spectral' is supported")
     k = _wavenumbers(v.grid)
-    return _spectral(v, lambda r: _dbar_symbol(k, r))[0]
+    return _spectral(v, lambda r: _dbar_symbol(k, r))
 
 
 def laplacian_hat(v: Field) -> Field:
     """Normalized Laplacian (d2_x + d2_y)/4 from the second-derivative symbols."""
     k = _wavenumbers(v.grid)
-    return _spectral(v, lambda r: -0.25 * (k[r, None] ** 2 + k[None, :] ** 2))[0]
+    return _spectral(v, lambda r: -0.25 * (k[r, None] ** 2 + k[None, :] ** 2))
 
 
 def interior_max(v: Field, extra_band: int = 0) -> float:

@@ -17,9 +17,12 @@ R = 6 the sup error is 8.8e-2, 2.2e-2, 5.4e-3, 1.4e-3 at n = 128, 256, 512,
 by its symmetry: the kernel is (h/pi)(A - i A^T), A real, odd in one offset
 and even in the other.  Blocks of columns form their part of the spectrum
 from the quarter and transform there, so no 2n x 2n array is made.  The
-blocks depend on n alone, so the bits do not depend on the CPU count, and
-the result is within FFT rounding of the pad convolution
-``ifft2(fft2(K, s) * fft2(f, s))``.
+transform holds one n x 2n buffer: the datum's row spectrum in the datum's
+own rows of it, the column pass in place, and the kept half of each row
+moved forward, one row after another, before the buffer shrinks to the
+n x n result.  The blocks depend on n alone, so the bits are those of the
+same steps in whole-array numpy for any CPU count, and the result is within
+FFT rounding of the pad convolution ``ifft2(fft2(K, s) * fft2(f, s))``.
 
 The growing-weight bound (constant 1/2) and the classical bound via the
 Fock-space projection are evaluated on the datum's support disk, where both
@@ -103,33 +106,44 @@ def cauchy_transform(f: Field) -> Field:
     from its real quarter (``_cauchy_quarter``), one block of columns at a
     time (``_cauchy_spectrum``), never whole.
 
-    The datum's rows are row-transformed; one pass over blocks of columns
-    pads each block to 2n rows, transforms it, multiplies it by its part of
-    the spectrum and transforms it back into rows 0 .. n-1 of an n x 2n
-    buffer, whose inverse row pass ends the transform.  The blocks depend on
-    n alone: the bits are those of the same steps as whole-array numpy, for
-    any CPU count, and the result is within FFT rounding of the pad
-    convolution ``ifft2(fft2(K, s) * fft2(f, s))`` at s = (2n, 2n).
+    One n x 2n buffer holds the whole transform.  The datum's rows from its
+    first to its last nonzero one are row-transformed into the same rows of
+    the buffer.  One pass over blocks of columns reads each block's columns
+    of those rows, pads them to 2n rows, transforms them, multiplies them by
+    their part of the spectrum and transforms them back into rows 0 .. n-1
+    of the same columns: a block reads and writes its own columns only.  The
+    inverse row pass runs in place; then, sequentially, row j's kept half
+    moves to entries jn .. (j + 1)n - 1 of the flat buffer, which lie in
+    rows already moved, and the buffer shrinks to the n x n result that the
+    ``Field`` shares.  The blocks depend on n alone: the bits are those of
+    the same steps in whole-array numpy, for any CPU count, and the result
+    is within FFT rounding of the pad convolution
+    ``ifft2(fft2(K, s) * fft2(f, s))`` at s = (2n, 2n).
     """
     n = f.grid.n
     Q = _cauchy_quarter(n, f.grid.spacing)
     rows = _nonzero_lines(f.values, 1)  # the other rows' transforms are 0
-    F = diffops._fft2(lambda r: f.values[rows][r], (rows.stop - rows.start, 2 * n),
-                      rows_only=True)
     G = np.empty((n, 2 * n), dtype=complex)
+    diffops._fft2(lambda r: f.values[rows][r], (rows.stop - rows.start, 2 * n),
+                  out=G[rows], rows_only=True)
 
-    def column_product(c):
+    def column_product(c):  # reads its columns of the datum's rows before writing them
         pad = np.zeros((2 * n, c.stop - c.start), dtype=complex)
-        pad[rows] = F[:, c]
+        pad[rows] = G[rows, c]
         np.fft.fft(pad, axis=0, out=pad)
         pad *= _cauchy_spectrum(Q, c)
         np.fft.ifft(pad, axis=0, out=pad)
         G[:, c] = pad[:n]
 
     _map_blocks(column_product, _line_blocks(0, 2 * n, 2 * n))
-    del Q, F  # their buffers are free before the result is copied out of G
+    del Q
     diffops._fft2(lambda r: G[r], G.shape, inverse=True, out=G, rows_only=True)
-    return Field(f.grid, G[:, :n])  # a strided view: Field copies it, freeing G
+    flat = G.reshape(-1)  # row j's kept half lands within rows 0 .. j - 1
+    for j in range(1, n):
+        flat[j * n : (j + 1) * n] = G[j, :n]
+    del flat
+    G.resize((n, n))  # a live view of G raises here rather than dangle
+    return Field(f.grid, G)
 
 
 # The kernel (h/pi)/(j + i k) = (h/pi)(A(j, k) - i A(k, j)), with

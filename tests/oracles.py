@@ -3,9 +3,10 @@
 * fd4: 4th-order centered finite differences.  With no one-sided stencils,
   the outer ``FD4_BAND`` rings of a result are zeroed.
 * Spectral ``delz`` = conj o dbar o conj, the del operator on its own, and
-  ``dbar_and_del``, both operators from one 2-D forward transform with
-  del's symbol conj(dbar's at -k).  The package forms neither: its norm identity takes
-  per-axis derivatives on the datum's support lines.
+  ``dbar_and_del``, both operators from one 2-D forward transform
+  (``spectral_ops``) with del's symbol conj(dbar's at -k).  The package
+  forms neither: its norm identity takes per-axis derivatives on the
+  datum's support lines.
 * Midpoint-rule ``integrate`` and ``pairing``.
 * ``csv_rows_reference``: the CSV dump of a field, every number formatted
   by ``%``.
@@ -267,13 +268,22 @@ def apply_Tstar(v: Field, w) -> Field:
     return -delz(v) - w.sample_dphi(v.grid) * v
 
 
+def spectral_ops(v: Field, *symbols) -> tuple[Field, ...]:
+    """ifft2(symbol * fft2(v)) for each symbol, sharing one forward FFT into a
+    buffer of its own; a symbol is a function of a row slice giving those rows."""
+    a = v.values
+    V = diffops._fft2(lambda r: a[r], a.shape)
+    return tuple(Field(v.grid, diffops._fft2(lambda r, s=s: s(r) * V[r], a.shape, inverse=True))
+                 for s in symbols)
+
+
 def dbar_and_del(v: Field) -> tuple[Field, Field]:
     """(dbar v, del v) from one forward FFT; del's symbol conj(dbar symbol[-k])
     is that of conj o dbar o conj, Nyquist lines included."""
     k = diffops._wavenumbers(v.grid)
     kneg = k[-np.arange(v.grid.n)]  # k[-j mod n]
-    return diffops._spectral(v, lambda r: diffops._dbar_symbol(k, r),
-                             lambda r: np.conj(diffops._dbar_symbol(kneg, r)))
+    return spectral_ops(v, lambda r: diffops._dbar_symbol(k, r),
+                        lambda r: np.conj(diffops._dbar_symbol(kneg, r)))
 
 
 def norm_identity_terms(v: Field, w) -> tuple[float, float, float]:

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,3 +263,21 @@ def test_spectral_operators_match_full_grid_symbols(bump_member, monkeypatch, n)
     assert _bit_identical(delv.values, del_ref)
     assert _bit_identical(dbar(v).values, dbar_ref)
     assert _bit_identical(laplacian_hat(v).values, lap_ref)
+
+
+def test_dbar_peak_memory(bump_member, monkeypatch):
+    # n = 512 on one thread: the forward spectrum, 16 n^2 bytes = 4 MiB, takes
+    # its inverse in place, so a row block's symbol and product are all that
+    # come beside it: measured 4.76 MiB against the 5 MiB bound; a second
+    # n x n buffer for the inverse peaked at 8.76 MiB
+    monkeypatch.setattr(grid, "_usable_cpus", lambda: 1)
+    n = 512
+    v = bump_member.sample(build_grid(6.0, n))
+    dbar(v)  # numpy's FFT plan caches fill on the first call
+    tracemalloc.start()
+    try:
+        dbar(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 16 * n * n

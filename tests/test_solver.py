@@ -113,6 +113,14 @@ def test_cauchy_dense_matches_fft(member):
     assert np.max(np.abs((ud - uf).values)) < 1e-10
 
 
+def test_cauchy_of_the_zero_datum_is_zero():
+    # no nonzero row: the row spectrum's rows are an empty view of the buffer
+    n = 1024
+    u = cauchy_transform(Field(build_grid(6.0, n), np.zeros((n, n), dtype=complex))).values
+    assert u.shape == (n, n) and u.base.size == n * n
+    assert not np.any(u)
+
+
 def test_cauchy_result_holds_no_pad(member):
     u = cauchy_transform(member.sample_dbar(build_grid(6.0, 64)))
     a = u.values
@@ -177,7 +185,7 @@ def cauchy_fft2(f):
     return np.fft.ifft(conv, axis=1)[:, :n]
 
 
-@pytest.mark.parametrize("n", [64, 300, 512])
+@pytest.mark.parametrize("n", [64, 300, 512, 9, 255])
 def test_cauchy_is_bit_identical_to_whole_array_ffts(member, monkeypatch, n):
     # three threads from n = 300 (12 and 32 column blocks of the 2n pad)
     monkeypatch.setattr(grid, "_usable_cpus", lambda: 3)
@@ -275,12 +283,15 @@ def test_cauchy_fft_budget(member, monkeypatch):
 
 
 def test_cauchy_peak_memory(member, monkeypatch):
-    # n = 512 on one thread: no array the size of one 2n x 2n complex
-    # spectrum, 16 (2n)^2 bytes = 16 MiB.  The quarter, the datum's row pass
-    # (212 nonzero rows), the n x 2n column-pass buffer and the column
-    # blocks peak at 14.64 MiB; the pad's kernel spectrum peaked at 20.25 MiB
+    # n = 512 on one thread: the n x 2n buffer, which takes the datum's row
+    # spectrum in its own rows and is shrunk to the result, 8 MiB; the real
+    # (n + 1)^2 quarter, 2.0 MiB; a column block's pad and spectrum, 0.5 MiB
+    # each, with room for as much again for the spectrum's gathers from the
+    # quarter: 12.01 MiB in all.  Measured 11.33 MiB, a margin of 0.68 MiB;
+    # a separate row spectrum and a copied-out result peaked at 14.64 MiB
     monkeypatch.setattr(grid, "_usable_cpus", lambda: 1)
     n = 512
+    block = 16 * grid.BLOCK_NODES  # one column block of the 2n pad, complex
     f = member.sample_dbar(build_grid(6.0, n))
     cauchy_transform(f)  # numpy's FFT plan caches fill on the first call
     tracemalloc.start()
@@ -289,7 +300,7 @@ def test_cauchy_peak_memory(member, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * (2 * n) ** 2
+    assert peak < 16 * n * 2 * n + 8 * (n + 1) ** 2 + 4 * block
 
 
 def test_cauchy_converges_to_exact_inverse(member):
