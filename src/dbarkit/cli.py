@@ -99,8 +99,8 @@ def load_config(path=None, overrides=None) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         try:
-            user = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as e:
+            user = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
             raise ConfigError(f"cannot parse config {path}: {e}") from e
         if not isinstance(user, dict):
             raise ConfigError(f"config {path} must contain a JSON object")
@@ -442,7 +442,10 @@ def main(argv=None) -> int:
     try:
         if args.weight is not None:
             w = args.weight
-            args.weight = json.loads(w) if w.strip().startswith("{") else {"name": w}
+            try:
+                args.weight = json.loads(w) if w.strip().startswith("{") else {"name": w}
+            except (json.JSONDecodeError, RecursionError) as e:
+                raise ConfigError(f"cannot parse --weight: {e}") from e
         overrides = {}
         for dest, key in FLAG_KEYS.items():
             value = getattr(args, dest)
@@ -461,10 +464,6 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot create output directory: {e}") from e
         made = missing
         result = run(cfg, args.subcommand)
-    except json.JSONDecodeError as e:
-        # load_config reports its own file's parse errors as ConfigError
-        print(f"config error: cannot parse --weight: {e}", file=sys.stderr)
-        return 2
     except (ConfigError, DynamicRangeError, SamplingError) as e:
         # weight factors or closed forms out of the float range make the
         # configuration unusable; it leaves no output directory behind

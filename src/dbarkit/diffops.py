@@ -7,11 +7,12 @@ that vanish near the boundary.  del is not formed on its own here: the norm
 identity (``identity``) takes per-axis derivatives of its datum, with del's
 symbol that of conj o dbar o conj, Nyquist lines included.
 
-Spectral operators transform through ``_fft2``, which gives numpy's
-``fft2``/``ifft2`` to the bit from 1-D transforms over blocks of whole rows
-and then whole columns, spread over the usable CPUs, with the symbol built
-row block by row block inside the inverse's row pass, which writes into the
-forward spectrum's own buffer.
+Every spectral map, the solver's inverse of the dbar symbol too, is one
+round trip through ``_spectral``: ``_fft2`` gives numpy's ``fft2``/``ifft2``
+to the bit from 1-D transforms over blocks of whole rows and then whole
+columns, spread over the usable CPUs, and the map is applied row block by
+row block inside the inverse's row pass, which writes into the forward
+spectrum's own buffer.
 """
 
 from __future__ import annotations
@@ -59,13 +60,13 @@ def _fft2(rows, shape, inverse=False, out=None, rows_only=False) -> np.ndarray:
     return out
 
 
-def _spectral(v: Field, symbol) -> Field:
-    """ifft2(symbol * fft2(v)), the symbol a function of a row slice giving
-    those rows of it, built block by block in the inverse's row pass."""
-    a = v.values
+def _spectral(a: np.ndarray, product) -> np.ndarray:
+    """ifft2 of the spectrum whose row block r (a slice) is
+    ``product(r, fft2(a)[r])``: the map runs block by block in the inverse's
+    row pass, and the result is the forward spectrum's own buffer."""
     V = _fft2(lambda r: a[r], a.shape)
     # in place: a row block of V is read whole before its inverse overwrites it
-    return Field(v.grid, _fft2(lambda r: symbol(r) * V[r], a.shape, inverse=True, out=V))
+    return _fft2(lambda r: product(r, V[r]), a.shape, inverse=True, out=V)
 
 
 def dbar(v: Field, scheme: str = "spectral") -> Field:
@@ -75,13 +76,14 @@ def dbar(v: Field, scheme: str = "spectral") -> Field:
     if scheme != "spectral":
         raise InvalidArgumentError(f"unknown scheme {scheme!r}; only 'spectral' is supported")
     k = _wavenumbers(v.grid)
-    return _spectral(v, lambda r: _dbar_symbol(k, r))
+    return Field(v.grid, _spectral(v.values, lambda r, V: _dbar_symbol(k, r) * V))
 
 
 def laplacian_hat(v: Field) -> Field:
     """Normalized Laplacian (d2_x + d2_y)/4 from the second-derivative symbols."""
     k = _wavenumbers(v.grid)
-    return _spectral(v, lambda r: -0.25 * (k[r, None] ** 2 + k[None, :] ** 2))
+    return Field(v.grid, _spectral(v.values,
+                                   lambda r, V: -0.25 * (k[r, None] ** 2 + k[None, :] ** 2) * V))
 
 
 def interior_max(v: Field, extra_band: int = 0) -> float:

@@ -23,9 +23,10 @@ the column arms; then a pass over blocks of whole grid rows
 (``grid._line_blocks``) evaluates del(phi) and laplacian_hat(phi) on each
 block's nodes, checks them, and for its rows in R transforms the row, sums
 the row arms and forms T v, T* v and |v|^2 lap_hat(phi) on the box.  Both
-passes go to ``grid._map_blocks``; the block sums are combined by halving in
-block order, so the sides do not depend on the CPU count.  Against the whole
-grid's 2-D transforms the sides move by rounding only.
+passes go to ``grid._map_blocks``; the block sums are added in block order,
+and the blocks depend on n alone, so the sides do not depend on the CPU
+count.  Against the whole grid's 2-D transforms the sides move by rounding
+only.
 """
 
 from __future__ import annotations
@@ -132,9 +133,8 @@ def verify_norm_identity(v: Field, w: Weight, rel_tol: float = 1e-6) -> Identity
     h2 = g.spacing * g.spacing
     # an overflow here leaves abs_err non-finite, which raises below
     with np.errstate(over="ignore", invalid="ignore"):
-        tv, tsv = (h2 * (_halving_sum([p[k] for p in parts])
-                         + _halving_sum([p[k] for p in arms])) for k in range(2))
-        vlap = h2 * _halving_sum([p[2] for p in parts])
+        tv, tsv = (h2 * (sum(p[k] for p in parts) + sum(p[k] for p in arms)) for k in range(2))
+        vlap = h2 * sum(p[2] for p in parts)
         lhs, rhs = (float(tv), float(tsv)) if trivial else (float(tv - tsv), float(2.0 * vlap))
     abs_err = abs(lhs - rhs)
     if not math.isfinite(abs_err):  # a NaN error would compare as no error at all
@@ -165,11 +165,3 @@ def _to_del(d: np.ndarray, q, first: int = 0):
         q2 = 2.0 * np.asarray(q)[:, None]
         d[:, first % 2::2] -= q2
         d[:, 1 - first % 2::2] += q2
-
-
-def _halving_sum(s: list):
-    """Sum of ``s`` by halving, the pairwise order of numpy's ``np.sum``; 0.0 if empty."""
-    if len(s) <= 1:
-        return s[0] if s else 0.0
-    mid = len(s) // 2
-    return _halving_sum(s[:mid]) + _halving_sum(s[mid:])

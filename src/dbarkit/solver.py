@@ -31,10 +31,11 @@ growing-weight bound and ``uniqueness_probe`` evaluate e^{2 phi}, and guard
 it, on their disks only, each read from its own axis lines (``grid._disk``).
 
 The Fock projection works on a quarter of the grid, by the square's
-symmetry z -> iz, and sums its series up to a degree K taken from the
-series' tail bound (``_fock_terms``), K <= ``FOCK_TERMS``; the seed-42
-datum at n = 1024 takes K = 53.  Its result, and every report, does not
-depend on the CPU count.
+symmetry z -> iz: blocks of the quarter's rows, and for an odd n the centre
+node, which is its own four turns, as one more block counted with share
+1/4.  It sums its series up to a degree K taken from the series' tail bound
+(``_fock_terms``), K <= ``FOCK_TERMS``; the seed-42 datum at n = 1024 takes
+K = 53.  Its result, and every report, does not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from . import diffops
 from .errors import DynamicRangeError, InvalidArgumentError
 from .grid import (Field, Grid, _abs2_sum, _disk, _line_blocks, _map_blocks, _nodes,
                    _nonzero_lines)
-from .moments import MOMENT_J, _fold, _horner, _monomial_sums
+from .moments import MOMENT_J, _fold
 from .weights import EXP_CAP, Weight, curvature_margin
 
 # a node holds significant mass when |f| there exceeds this fraction of its peak
@@ -115,10 +116,12 @@ def cauchy_transform(f: Field) -> Field:
     inverse row pass runs in place; then, sequentially, row j's kept half
     moves to entries jn .. (j + 1)n - 1 of the flat buffer, which lie in
     rows already moved, and the buffer shrinks to the n x n result that the
-    ``Field`` shares.  The blocks depend on n alone: the bits are those of
-    the same steps in whole-array numpy, for any CPU count, and the result
-    is within FFT rounding of the pad convolution
-    ``ifft2(fft2(K, s) * fft2(f, s))`` at s = (2n, 2n).
+    ``Field`` shares.  Where another reference to the buffer refuses the
+    shrink (a debugger's snapshot of this frame's locals), the ``Field``
+    shares the buffer's first n^2 entries instead.  The blocks depend on n
+    alone: the bits are those of the same steps in whole-array numpy, for
+    any CPU count, and the result is within FFT rounding of the pad
+    convolution ``ifft2(fft2(K, s) * fft2(f, s))`` at s = (2n, 2n).
     """
     n = f.grid.n
     Q = _cauchy_quarter(n, f.grid.spacing)
@@ -142,7 +145,10 @@ def cauchy_transform(f: Field) -> Field:
     for j in range(1, n):
         flat[j * n : (j + 1) * n] = G[j, :n]
     del flat
-    G.resize((n, n))  # a live view of G raises here rather than dangle
+    try:
+        G.resize((n, n))  # refused while another reference holds G, which could dangle
+    except ValueError:  # such as a tracer's snapshot of this frame's locals
+        G = G.reshape(-1)[: n * n].reshape(n, n)
     return Field(f.grid, G)
 
 
@@ -201,24 +207,22 @@ def _cauchy_spectrum(Q: np.ndarray, c: slice) -> np.ndarray:
 
 
 def dbar_invert_spectral(f: Field) -> Field:
-    """Invert the dbar symbol on the periodic grid; calibrate the constant so
-    the solution vanishes on the boundary ring."""
+    """Invert the dbar symbol on the periodic grid, in one round trip of
+    ``diffops._spectral``; calibrate the constant so the solution vanishes
+    on the boundary ring."""
     g = f.grid
     k = diffops._wavenumbers(g)
-    shape = f.values.shape
-    F = diffops._fft2(lambda r: f.values[r], shape)
 
-    def spectrum(r):  # fft2(f) / symbol, zero mode removed
+    def divide(r, F):  # fft2(f) / symbol on rows r, zero mode removed
         sym = diffops._dbar_symbol(k, r)
         if r.start == 0:
             sym[0, 0] = 1.0
-        U = F[r] / sym
+        U = F / sym
         if r.start == 0:
             U[0, 0] = 0.0
         return U
 
-    # in place: a row block of F is read whole before its inverse overwrites it
-    u = diffops._fft2(spectrum, shape, inverse=True, out=F)
+    u = diffops._spectral(f.values, divide)
     # the outer two rings, in row-major order
     u -= np.mean(np.concatenate((u[:2], u[2:-2, [0, 1, -2, -1]], u[-2:]), axis=None))
     return Field(g, u)
@@ -292,15 +296,12 @@ def fock_bergman_project(u: Field) -> Field:
     n, x = g.n, g.axis
     out = np.empty((n, n), dtype=complex)
 
-    def series(rows):  # Pu at the block's four turns, written through rot90 views
-        z, _ = _quarter_nodes(x, rows)
+    def series(block):  # Pu at the block's four turns, written through rot90 views
+        z, _ = _quarter_nodes(x, block)
         for m, value in enumerate(_dft4(_quarter_series(c, z))):
-            np.rot90(out, -m)[rows, n // 2:] = value
+            np.rot90(out, -m)[block[:2]] = value
 
     _map_blocks(series, _quarter_blocks(n))
-    centre = _centre(g)
-    if centre:
-        out[centre[0]] = _horner(centre[1], c)
     return Field(g, out)
 
 
@@ -327,36 +328,27 @@ def check_hormander_bound(f: Field, w: Weight, slack: float = 0.01) -> BoundRepo
     c = _fock_coefficients(u, g, terms)
     blocks = _quarter_blocks(n)
 
-    def sides(rows):  # the h1 sides and the sums of d on the block's rows of the quarter
-        z, gauss = _quarter_nodes(x, rows)
+    def sides(block):  # the h1 sides and the sums of d on the block
+        z, gauss = _quarter_nodes(x, block)
         S = _quarter_series(c, z)
         d = _residue_sums([s * gauss for s in S], np.conj(z), terms)
         weight = gauss / w.lap_hat_phi(z)  # fock's Laplacian is the same at each turn
         lhs = rhs = 0.0
         for m, value in enumerate(_dft4(S)):
-            value -= _turn(u, m, rows)
+            value -= _turn(u, m, block)
             lhs += _abs2_sum(value, gauss)
-            rhs += _abs2_sum(_turn(fv, m, rows), weight)
+            rhs += _abs2_sum(_turn(fv, m, block), weight)
         return lhs, rhs, d
 
     lhs, rhs, dsums = (np.sum(a, axis=0) for a in zip(*_map_blocks(sides, blocks)))
     dsums *= 4.0  # Pu's G_r(z) = sum_m (-i)^{mr} Pu(i^m z) is 4 S_r(z)
-    centre = _centre(g)
-    if centre:
-        at, zc, gc = centre
-        pc = _horner(zc, c)
-        lhs += abs(pc - u[at]) ** 2 * gc
-        rhs += abs(fv[at]) ** 2 * gc / w.lap_hat_phi(zc)
-        dsums += _monomial_sums(np.conj([zc]), np.array([pc * gc]), terms)
     e = dsums * _fock_scale(h, terms) - c
 
-    def residual(rows):  # sum_m |E(i^m z)|^2 = 4 sum_r |S_r(z)|^2 for E = sum_k e_k z^k
-        z, gauss = _quarter_nodes(x, rows)
+    def residual(block):  # sum_m |E(i^m z)|^2 = 4 sum_r |S_r(z)|^2 for E = sum_k e_k z^k
+        z, gauss = _quarter_nodes(x, block)
         return 4.0 * sum(_abs2_sum(s, gauss) for s in _quarter_series(e, z))
 
     idem = sum(_map_blocks(residual, blocks))
-    if centre:
-        idem += abs(_horner(zc, e)) ** 2 * gc
     h1_lhs, h1_rhs = float(h * h * lhs), float(0.5 * h * h * rhs)
     return BoundReport(h1_lhs, h1_rhs, h1_lhs <= h1_rhs * (1.0 + slack), sqrt(h * h * idem))
 
@@ -415,52 +407,51 @@ def _fock_scale(h: float, terms: int) -> np.ndarray:
 
 def _fock_coefficients(v: np.ndarray, g: Grid, terms: int) -> np.ndarray:
     """c_k = h^2 sum conj(z)^k v e^{-|z|^2} / (pi k!), k = 0..terms, over the
-    grid values ``v``: the quarter's blocks (``_quarter_sums``) added in block
-    order, then the centre node of an odd n."""
+    grid values ``v``: the quarter's blocks (``_quarter_sums``), the centre
+    of an odd n among them as a block of share 1/4, added in block order."""
     x = g.axis
-    sums = np.sum(_map_blocks(lambda r: _quarter_sums(v, x, r, terms), _quarter_blocks(g.n)),
-                  axis=0)
-    centre = _centre(g)
-    if centre:
-        at, zc, gc = centre
-        sums += _monomial_sums(np.conj([zc]), np.array([v[at] * gc]), terms)
-    return sums * _fock_scale(g.spacing, terms)
+    sums = _map_blocks(lambda b: _quarter_sums(v, x, b, terms), _quarter_blocks(g.n))
+    return np.sum(sums, axis=0) * _fock_scale(g.spacing, terms)
 
 
-# The quarter D of the grid is rows n - n//2 .. n-1 by columns n//2 .. n-1.
-# z -> iz maps the node (j, k) to (n-1-k, j), so np.rot90(a, -m)[D] holds
-# a(i^m z) at the nodes z of D, and the four turns m = 0..3 cover every node
-# once, but for the centre node of an odd n.  e^{-|z|^2} and the square are
-# invariant under z -> iz, which multiplies z^k by i^k: so the Fock series
-# needs the nodes of D only.  Where the axis is not exactly antisymmetric
-# (odd n, or R = 3.7), a turned node differs from the stored one by rounding.
+# The quarter D of the grid is rows n - n//2 .. n-1 by columns n//2 .. n-1,
+# and for an odd n also the centre node (n//2, n//2).  z -> iz maps the node
+# (j, k) to (n-1-k, j), so np.rot90(a, -m)[D] holds a(i^m z) at the nodes z
+# of D, and the four turns m = 0..3 cover every node once, but the centre,
+# the turns' fixed point, which they cover four times: its block counts with
+# share 1/4.  e^{-|z|^2} and the square are invariant under z -> iz, which
+# multiplies z^k by i^k: so the Fock series needs the nodes of D only.  Where
+# the axis is not exactly antisymmetric (odd n, or R = 3.7), a turned node
+# differs from the stored one by rounding; so does the centre, whose cell of
+# the series, written at each turn, keeps the last: the series at i^3 z.
 
 
 def _quarter_blocks(n: int) -> list:
-    """``_line_blocks`` of the rows of D, the same for any CPU count."""
-    return _line_blocks(n - n // 2, n, n - n // 2)
+    """The blocks (rows, cols, share) of D, the same for any CPU count:
+    ``_line_blocks`` of D's rows with share 1, then for an odd n the centre
+    node with share 1/4."""
+    half = slice(n // 2, n)
+    blocks = [(rows, half, 1.0) for rows in _line_blocks(n - n // 2, n, n - n // 2)]
+    if n % 2:
+        centre = slice(n // 2, n // 2 + 1)
+        blocks.append((centre, centre, 0.25))
+    return blocks
 
 
-def _quarter_nodes(x: np.ndarray, rows: slice):
-    """The nodes z of D's rows ``rows`` and e^{-|z|^2} there, from the axis ``x``."""
-    y = x[x.size // 2:]
-    return _nodes(x[rows, None], y), np.exp(-(x[rows, None] ** 2 + y**2))
+def _quarter_nodes(x: np.ndarray, block):
+    """The nodes z of the block of D and its share of e^{-|z|^2} there, from
+    the axis ``x``."""
+    rows, cols, share = block
+    gauss = np.exp(-(x[rows, None] ** 2 + x[cols] ** 2))
+    if share != 1.0:
+        gauss *= share
+    return _nodes(x[rows, None], x[cols]), gauss
 
 
-def _turn(a: np.ndarray, m: int, rows: slice) -> np.ndarray:
-    """a(i^m z) at the nodes z of D's rows ``rows``, copied: one block of a
+def _turn(a: np.ndarray, m: int, block) -> np.ndarray:
+    """a(i^m z) at the nodes z of the block of D, copied: one block of a
     turned view at a time, not a turned copy of the grid."""
-    return np.rot90(a, -m)[rows, a.shape[1] // 2:].copy()
-
-
-def _centre(g: Grid):
-    """The centre node of an odd n, which no turn of D covers, as (index, z,
-    e^{-|z|^2}); None for an even n."""
-    if g.n % 2 == 0:
-        return None
-    p = g.n // 2
-    x = g.axis[p]
-    return (p, p), complex(x, x), exp(-(x * x + x * x))
+    return np.rot90(a, -m)[block[:2]].copy()
 
 
 def _dft4(S: list) -> list:
@@ -478,13 +469,13 @@ def _dft4(S: list) -> list:
     return [a, s0, s2, s3]
 
 
-def _quarter_sums(v: np.ndarray, x: np.ndarray, rows: slice, terms: int) -> np.ndarray:
+def _quarter_sums(v: np.ndarray, x: np.ndarray, block, terms: int) -> np.ndarray:
     """The block kernel of the coefficients: sum conj(z)^k G_{k mod 4}(z)
-    e^{-|z|^2}, k = 0..terms, over the nodes z of D's rows ``rows``, with
+    e^{-|z|^2}, k = 0..terms, over the nodes z of the block of D, with
     G_r(z) = sum_m (-i)^{mr} v(i^m z): the sum over all four turns of
     conj(i^m z)^k v(i^m z) e^{-|z|^2}."""
-    z, gauss = _quarter_nodes(x, rows)
-    T = _dft4([_turn(v, m, rows) for m in range(4)])  # T_q = sum_m i^{mq} v(i^m z)
+    z, gauss = _quarter_nodes(x, block)
+    T = _dft4([_turn(v, m, block) for m in range(4)])  # T_q = sum_m i^{mq} v(i^m z)
     G = [T[0], T[3], T[2], T[1]]  # G_r = T_{-r mod 4}
     for a in G:
         a *= gauss

@@ -163,6 +163,8 @@ CONFIG_ERROR_NAMES = {
         ["curvature", "--weight", '{"name": "fock", "t": "2"}'],
         ["curvature", "--weight", '{"name": "fock", "t": true}'],
         ["curvature", "--weight", '{"name": "fock", "t": %s}' % HUGE_INT],
+        # JSON nested past the interpreter's recursion limit
+        ["curvature", "--weight", '{"a":' * 20000],
     ],
 )
 def test_cli_config_errors_exit_2(tmp_path, capsys, flags):
@@ -391,6 +393,15 @@ def test_config_keys_match_the_benchmark_reference():
 def test_missing_config_file_rejected():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/config.json")
+
+
+@pytest.mark.parametrize("body", [b"\xff\xfe{}", b'{"a":' * 20000], ids=["not-utf-8", "nested"])
+def test_undecodable_config_file_exits_2(tmp_path, capsys, body):
+    path = tmp_path / "c.json"
+    path.write_bytes(body)
+    assert main(["curvature", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot parse config {path}: ")
+    assert not (tmp_path / "r").exists()
 
 
 def test_parser_accepts_known_subcommands():

@@ -129,6 +129,28 @@ def test_cauchy_result_holds_no_pad(member):
         a = a.base
 
 
+@pytest.mark.parametrize("n", [8, 9])
+def test_cauchy_under_a_tracer_that_reads_frame_locals(n):
+    # as pdb does at a breakpoint: on Python 3.11 the frame keeps a snapshot
+    # of its locals, which holds the buffer, so the buffer cannot shrink
+    f = dense_datum(build_grid(6.0, n))
+    ref = cauchy_transform(f).values
+    code = cauchy_transform.__code__
+
+    def tracer(frame, event, arg):
+        if frame.f_code is code:
+            frame.f_locals
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        out = cauchy_transform(f).values
+    finally:
+        sys.settrace(previous)
+    assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+
+
 @pytest.mark.parametrize("n", [9, 16, 33])
 def test_cauchy_corner_spikes_do_not_wrap(n):
     # a spike at a corner node reaches the opposite corner through the
@@ -440,7 +462,8 @@ def test_projection_series_matches_dense_kernel(member):
 
 @pytest.mark.parametrize("n, radius", [(47, 6.0), (48, 3.7)])
 def test_projection_off_the_exact_turn_matches_dense_kernel(member, n, radius):
-    # an odd n has a centre node no turn of the quarter covers; at R = 3.7 the
+    # an odd n's centre node is its own four turns, a quarter block of share
+    # 1/4; at n = 47 its axis value is -8.9e-16, not 0, and at R = 3.7 the
     # axis is not exactly antisymmetric, so a turned node is the stored one
     # only up to rounding (3e-14 relative)
     u = member.sample(build_grid(radius, n))
@@ -560,6 +583,38 @@ def test_bound_is_bit_identical_for_any_cpu_count(member, fock, monkeypatch):
     assert reps[0] == reps[1] == reps[2]
 
 
+def test_odd_grid_is_bit_identical_for_any_cpu_count(member, fock, monkeypatch):
+    # n = 1023: eight quarter blocks of 64 rows or fewer and the centre's
+    # block, dealt over up to three threads
+    f = member.sample_dbar(build_grid(6.0, 1023))
+    u = dbar_invert_spectral(f)
+    seen = _block_threads(monkeypatch)
+    outs = []
+    with _switching_often():
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(grid, "_usable_cpus", lambda c=cpus: c)
+            seen.clear()
+            values = fock_bergman_project(u).values
+            assert len(seen) == cpus
+            seen.clear()
+            outs.append((values, check_hormander_bound(f, fock)))
+            assert len(seen) == cpus
+    for values, rep in outs[1:]:
+        assert np.array_equal(values, outs[0][0])
+        assert rep == outs[0][1]
+
+
+@pytest.mark.parametrize("n", [8, 9, 47, 255, 256])
+def test_quarter_blocks_cover_every_node_once(n):
+    # each block's share, added at its four turns through rot90 views: the
+    # centre of an odd n is the turns' fixed point, a block of share 1/4
+    cover = np.zeros((n, n))
+    for rows, cols, share in solver._quarter_blocks(n):
+        for m in range(4):
+            np.rot90(cover, -m)[rows, cols] += share
+    assert np.array_equal(cover, np.ones((n, n)))
+
+
 @pytest.mark.parametrize("radius", [19.0, 1e300])
 def test_projection_guard_names_the_kernel_exponent(radius):
     # e^{2 R^2} leaves the float range past R = sqrt(EXP_CAP / 2) = 18.7; at
@@ -591,10 +646,10 @@ def test_projection_block_failure_reaches_the_caller(inverse1024, monkeypatch, f
     kernel = solver._quarter_sums
     first_row = 512 + 64 * failing  # the quarter starts at row n - n//2
 
-    def flaky(v, x, rows, *args):
-        if rows.start == first_row:
+    def flaky(v, x, block, *args):
+        if block[0].start == first_row:
             raise RuntimeError(f"block {failing} failed")
-        return kernel(v, x, rows, *args)
+        return kernel(v, x, block, *args)
 
     monkeypatch.setattr(solver, "_quarter_sums", flaky)
     baseline = threading.active_count()
