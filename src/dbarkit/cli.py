@@ -346,7 +346,8 @@ PIPELINES = {
 def run(cfg: dict, subcommand: str) -> dict:
     """Execute the named pipeline(s); returns the suite result structure.
 
-    ``_csv`` maps ``<pipeline>_<stem>`` to a ``Field`` or to CSV text.
+    ``_csv`` maps ``<pipeline>_<stem>`` to a ``Field`` or to CSV text when
+    ``output.format`` is ``csv``, and is empty otherwise.
     ``_timings`` maps each pipeline to its wall time in ms, which the report
     itself never holds.  The pipelines share one ``RunMemo`` made for
     ``names``, so a datum's sampling and its reduction count towards the
@@ -357,6 +358,7 @@ def run(cfg: dict, subcommand: str) -> dict:
     if subcommand != "all" and subcommand not in PIPELINES:
         raise InvalidArgumentError(f"unknown subcommand {subcommand!r}")
     names = list(PIPELINES) if subcommand == "all" else [subcommand]
+    writes_csv = cfg["output"]["format"] == "csv"
     all_checks, details, csv, timings = [], {}, {}, {}
     memo = RunMemo(cfg["seed"], names)
     for name in names:
@@ -364,8 +366,9 @@ def run(cfg: dict, subcommand: str) -> dict:
         checks, extra = PIPELINES[name](cfg, memo)
         timings[name] = (time.perf_counter() - t0) * 1e3
         all_checks.extend(checks)
-        for stem, art in extra.pop("_csv", {}).items():
-            csv[f"{name}_{stem}"] = art
+        # the dumps are kept only when the run writes CSV, and no name here holds one
+        csv.update((f"{name}_{stem}", dump) for stem, dump in extra.pop("_csv", {}).items()
+                   if writes_csv)
         if extra:
             details[name] = extra
     return {

@@ -172,9 +172,14 @@ def weighted_norm_sq(v: Field, w) -> float:
     return float(h * h * _abs2_sum(v.values, wr))
 
 
+def _abs2(b: np.ndarray) -> np.ndarray:
+    """|b|^2 as re^2 + im^2."""
+    return b.real**2 + b.imag**2
+
+
 def _abs2_sum(b: np.ndarray, weight=None):
-    """np.sum of |b|^2, times ``weight`` if given."""
-    b2 = b.real**2 + b.imag**2
+    """np.sum of |b|^2 (``_abs2``), times ``weight`` if given."""
+    b2 = _abs2(b)
     return np.sum(b2 if weight is None else b2 * weight)
 
 
@@ -293,19 +298,49 @@ def _nonzero_lines(a: np.ndarray, axis: int) -> slice:
     return slice(int(hit[0]), int(hit[-1]) + 1) if hit.size else slice(0, 0)
 
 
-def _disk(g: Grid, r: float):
-    """The nodes of ``g`` with |z| <= r as (box, inside, z, |z|): ``box`` slices
-    the axis lines with |x| <= r, ``inside`` is the disk's mask over the square
-    ``box, box``, and z and |z| are the disk's nodes and moduli in row-major
-    order.  The square holds the whole disk, as a faithfully rounded |z| is
-    never below |x| or |y|; so ``a[box, box][inside]`` is the full grid's
-    ``a[disk]``, in the same order."""
+@dataclass(frozen=True)
+class _Disk:
+    """The nodes with |z| <= r of a grid (``_disk``), a block of rows at a time.
+
+    ``box`` slices the axis lines with |x| <= r; each of ``blocks`` is
+    ``(rows, inside, at)``: a run of the box's rows, the disk's mask over
+    ``rows, box`` and the slice of the disk's row-major node list, ``size``
+    nodes long, that the block fills.  Iterating yields ``(rows, inside, at,
+    z)``, the block's nodes built afresh, so no list of the disk's nodes is
+    kept."""
+
+    axis: np.ndarray
+    box: slice
+    blocks: tuple
+    size: int
+
+    def __iter__(self):
+        cols = self.axis[self.box]
+        for rows, inside, at in self.blocks:
+            yield rows, inside, at, _nodes(self.axis[rows, None], cols)[inside]
+
+
+def _disk(g: Grid, r: float) -> _Disk:
+    """The nodes of ``g`` with |z| <= r, from their own square of axis lines,
+    which holds the whole disk, as a faithfully rounded |z| is never below
+    |x| or |y|.  So ``a[rows, box][inside]`` over the blocks, in order, is
+    the full grid's ``a[disk]``, and an elementwise map of the blocks' z,
+    written at ``at``, fills a disk-length vector with the terms, in the
+    order, of the same map of ``z[disk]``: one ``np.sum`` of it keeps the bits.
+
+    A caller keeps a block's nodes, their gathers of two complex fields and
+    the real terms made from them alive at once, about four complex values a
+    node; so a block takes a quarter of ``BLOCK_NODES`` nodes, and its
+    working set is about one complex array of ``BLOCK_NODES`` nodes."""
     x = g.axis
     box = slice(int(np.searchsorted(x, -r, "left")), int(np.searchsorted(x, r, "right")))
-    z = _nodes(x[box, None], x[box])
-    mod = np.abs(z)
-    inside = mod <= r
-    return box, inside, z[inside], mod[inside]
+    blocks, size = [], 0
+    for rows in _line_blocks(box.start, box.stop, 4 * (box.stop - box.start)):
+        inside = np.abs(_nodes(x[rows, None], x[box])) <= r
+        count = int(np.count_nonzero(inside))
+        blocks.append((rows, inside, slice(size, size + count)))
+        size += count
+    return _Disk(x, box, tuple(blocks), size)
 
 
 def _map_blocks(fn, blocks: list) -> list:

@@ -108,7 +108,10 @@ def _fold(g: Grid, blocks, J: int | None = None, l1: bool = False, freqs=None):
             # the boundary requirement scales with the strongest monomial weight; the
             # threshold is looser than for plain fields because the monomial factor
             # suppresses the interior peak, not because more mass is allowed
-            weight = (np.abs(z) / (sqrt(2.0) * g.radius)) ** J * mag
+            weight = np.abs(z)  # (|z| / (sqrt(2) R))^J |f|, each step in place
+            weight /= sqrt(2.0) * g.radius
+            weight **= J
+            weight *= mag
             peak = max(peak, np.max(weight))
             ring = _ring_mask(g.n, rows).reshape(-1)[nz]
             on_ring = max(on_ring, np.max(weight[ring], initial=0.0))

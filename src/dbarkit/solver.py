@@ -27,8 +27,14 @@ FFT rounding of the pad convolution ``ifft2(fft2(K, s) * fft2(f, s))``.
 The growing-weight bound (constant 1/2) and the classical bound via the
 Fock-space projection are evaluated on the datum's support disk, where both
 integrals agree with their plane counterparts for compliant data.  The
-growing-weight bound and ``uniqueness_probe`` evaluate e^{2 phi}, and guard
-it, on their disks only, each read from its own axis lines (``grid._disk``).
+growing-weight bound and ``uniqueness_probe`` stream their disks
+(``grid._disk``): blocks of the disk's rows write each node's terms into
+disk-length real vectors in row-major order, and one ``np.sum`` adds each,
+so every sum has the terms, the order and the bits of a full-grid mask's
+gather.  They evaluate e^{2 phi}, and guard it, on the disk's nodes only; a
+``DynamicRangeError``'s ``node_index`` indexes the disk's node list.  The
+residual's interior maximum, the support radius and the tail mass are
+maxima over row blocks, exact, so no n x n magnitude or index array is made.
 
 The Fock projection works on a quarter of the grid, by the square's
 symmetry z -> iz: blocks of the quarter's rows, and for an odd n the centre
@@ -47,7 +53,7 @@ import numpy as np
 
 from . import diffops
 from .errors import DynamicRangeError, InvalidArgumentError
-from .grid import (Field, Grid, _abs2_sum, _disk, _line_blocks, _map_blocks, _nodes,
+from .grid import (Field, Grid, _abs2, _abs2_sum, _disk, _line_blocks, _map_blocks, _nodes,
                    _nonzero_lines)
 from .moments import MOMENT_J, _fold
 from .weights import EXP_CAP, Weight, curvature_margin
@@ -85,14 +91,18 @@ class BoundReport:
 
 
 def support_radius(f: Field) -> float:
-    """Radius of the smallest origin-centered disk holding all significant mass."""
-    a = np.abs(f.values)
-    peak = float(np.max(a))
-    if peak == 0.0:
-        return 0.0
-    j, k = np.nonzero(a > SUPPORT_FLOOR * peak)
-    x = f.grid.axis
-    return float(np.max(np.abs(_nodes(x[j], x[k]))))
+    """Radius of the smallest origin-centered disk holding all significant
+    mass: two passes over row blocks, for the peak of |f| and then for the
+    largest |z| where |f| exceeds its floor, maxima being exact."""
+    v, x = f.values, f.grid.axis
+    blocks = _line_blocks(0, f.grid.n, f.grid.n)
+    peak = max(np.max(np.abs(v[r])) for r in blocks)
+    radius = 0.0
+    for r in blocks if peak else ():
+        heavy = np.abs(v[r]) > SUPPORT_FLOOR * peak
+        if heavy.any():
+            radius = max(radius, np.max(np.abs(_nodes(x[r, None], x))[heavy]))
+    return float(radius)
 
 
 def cauchy_transform(f: Field) -> Field:
@@ -236,16 +246,21 @@ def solve_dbar(f: Field, w: Weight, slack: float = 0.01) -> SolutionReport:
     disk, so the restriction loses nothing while avoiding amplification of
     rounding noise by e^{2 phi} at the corners of the truncation square;
     e^{2 phi} is evaluated, and guarded against overflow, on that disk only.
-    The disk is read from its own square of axis lines (``grid._disk``), so
-    no full-grid node array or mask is made.
+    The disk is streamed (``grid._disk``): its blocks write |u|^2 e^{2 phi}
+    lap_hat(phi) and |f|^2 e^{2 phi} into two disk-length vectors, each side
+    one ``np.sum`` of its vector, with the bits of a full-grid mask's gather,
+    and read the tail mass, max |u| off the disk.  The residual dbar u - f is
+    formed in dbar's own spectral buffer.
     When the normalized moments exceed ``MOMENT_REL_TOL`` the report carries
     the non-orthogonal-datum flag and the bound verdict is informational only.
     """
     g = f.grid
     u = dbar_invert_spectral(f)
 
-    res = diffops.dbar(u, "spectral") - f
-    residual_inf = diffops.interior_max(res, extra_band=2)
+    res = diffops._dbar(u)
+    res -= f.values
+    residual_inf = diffops.interior_max(Field(g, res), extra_band=2)
+    del res
 
     mv, l1, _ = _fold(g, f, MOMENT_J, True)  # the moments and h^2 sum |f| in one pass
     moment_max = float(np.max(np.abs(mv.m)))
@@ -255,16 +270,22 @@ def solve_dbar(f: Field, w: Weight, slack: float = 0.01) -> SolutionReport:
     moment_rel_max = float(np.max(np.abs(mv.m) / (scale * max(l1, 1e-300))))
     flagged = moment_rel_max > MOMENT_REL_TOL
 
-    box, disk, zd, _ = _disk(g, r_sup + 2.0 * h)
-    e2phi = w.exp_phi(zd, 2.0)
-    ud, fd = u.values[box, box][disk], f.values[box, box][disk]
-    h2_lhs = 2.0 * float(h * h * _abs2_sum(ud, e2phi * w.lap_hat_phi(zd)))
-    h2_rhs = float(h * h * _abs2_sum(fd, e2phi))
+    disk = _disk(g, r_sup + 2.0 * h)
+    box, n = disk.box, g.n
+    lhs, rhs = np.empty(disk.size), np.empty(disk.size)
+    tail_mass = 0.0
+    for rows in (*_line_blocks(0, box.start, n), *_line_blocks(box.stop, n, n)):
+        tail_mass = max(tail_mass, np.max(np.abs(u.values[rows])))
+    for rows, inside, at, z in disk:
+        e2phi = _exp2phi(w, z, at)
+        np.multiply(_abs2(u.values[rows, box][inside]), e2phi * w.lap_hat_phi(z), out=lhs[at])
+        np.multiply(_abs2(f.values[rows, box][inside]), e2phi, out=rhs[at])
+        tail = np.abs(u.values[rows])
+        tail[:, box][inside] = 0.0
+        tail_mass = max(tail_mass, np.max(tail))
+    h2_lhs = 2.0 * float(h * h * np.sum(lhs))
+    h2_rhs = float(h * h * np.sum(rhs))
     h2_passes = h2_lhs <= h2_rhs * (1.0 + slack)
-
-    tail = np.abs(u.values)
-    tail[box, box][disk] = 0.0
-    tail_mass = float(np.max(tail))
 
     return SolutionReport(
         u=u,
@@ -275,9 +296,20 @@ def solve_dbar(f: Field, w: Weight, slack: float = 0.01) -> SolutionReport:
         h2_lhs=h2_lhs,
         h2_rhs=h2_rhs,
         h2_passes=h2_passes,
-        tail_mass=tail_mass,
+        tail_mass=float(tail_mass),
         support_radius=r_sup,
     )
+
+
+def _exp2phi(w: Weight, z: np.ndarray, at: slice) -> np.ndarray:
+    """``w.exp_phi(z, 2.0)`` at the nodes z of the disk block that fills
+    ``at`` of its disk's node list (``grid._disk``); a DynamicRangeError's
+    ``node_index`` is made a flat index into that list."""
+    try:
+        return w.exp_phi(z, 2.0)
+    except DynamicRangeError as e:
+        e.node_index += at.start
+        raise
 
 
 def fock_bergman_project(u: Field) -> Field:
@@ -524,20 +556,28 @@ def uniqueness_probe(g: Grid, w: Weight) -> list[dict]:
     ``UNIQUENESS_RADII``.  Under the curvature condition these must blow up,
     which is why no second decaying solution can exist.  A multiple c z^p
     scales every energy by |c|^2 and leaves the growth ratio as it is.  The
-    degrees share the curvature check and the nodes, moduli and weight
-    density of the largest disk (``grid._disk``), each smaller open disk an
-    |z| < r mask on that list; so e^{2 phi} is evaluated, and guarded
-    against overflow, on that disk only.
+    degrees share the curvature check and the weight density of the largest
+    disk, streamed into a disk-length vector (``grid._disk``), each smaller
+    open disk an |z| < r mask on that list; so e^{2 phi} is evaluated, and
+    guarded against overflow, on that disk only.  Each degree streams
+    |z^p|^2 times the density into one more such vector and sums its masked
+    gathers, with the bits of a full-grid mask's.
     """
     if not curvature_margin(w, g).passes:
         raise InvalidArgumentError("uniqueness probe requires a weight passing the curvature condition")
     h = g.spacing
-    _, _, z, r = _disk(g, max(UNIQUENESS_RADII))
-    density = w.exp_phi(z, 2.0) * w.lap_hat_phi(z)
+    disk = _disk(g, max(UNIQUENESS_RADII))
+    r, density = np.empty(disk.size), np.empty(disk.size)
+    for _, _, at, z in disk:
+        np.abs(z, out=r[at])
+        np.multiply(_exp2phi(w, z, at), w.lap_hat_phi(z), out=density[at])
     disks = [r < rr for rr in UNIQUENESS_RADII]
+    del r
+    dens = np.empty(disk.size)
     tables = []
     for d in UNIQUENESS_DEGREES:
-        dens = np.abs(z**d) ** 2 * density
+        for _, _, at, z in disk:
+            np.multiply(np.abs(z**d) ** 2, density[at], out=dens[at])
         energies = [float(h * h * np.sum(dens[inside])) for inside in disks]
         first, last = energies[0], energies[-1]
         # None when the innermost disk holds no node but the outer ones carry

@@ -1,3 +1,4 @@
+import gc
 import importlib
 import io
 import json
@@ -8,6 +9,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -131,6 +133,7 @@ CONFIG_ERROR_NAMES = {
     'curvature --weight {"name": "zero", "t": NaN}': "weight 'zero' takes no parameter 't'",
     'curvature --weight {"name": "fock", "t": 1, "bogus": 3}':
         "weight 'fock' takes no parameter 'bogus'",
+    'solve --weight {"name": "fock", "t": 200}': "weight 'fock': 2 phi reaches",
 }
 
 
@@ -430,11 +433,16 @@ def test_run_curvature_fails_for_degenerate_weight():
     assert result["details"]["curvature"]["error"] == "weight-invariant-violation"
 
 
+def _csv_config():
+    """The defaults with CSV output, so a run's result holds its CSV dumps."""
+    return load_config(overrides={"output": {"format": "csv"}})
+
+
 @pytest.fixture(scope="module")
 def all_run():
-    """One in-process ``run(cfg, "all")`` at the defaults: its result, the
-    (datum, n) of every sampling of a ``RunMemo.DATA`` datum, whole or in
-    blocks, and the (n, J, l1, diagonal) of every ``moments._fold``."""
+    """One in-process ``run(cfg, "all")`` at the defaults with CSV output: its
+    result, the (datum, n) of every sampling of a ``RunMemo.DATA`` datum,
+    whole or in blocks, and the (n, J, l1, diagonal) of every ``moments._fold``."""
     cli, mom, sol = (importlib.import_module(f"dbarkit.{m}") for m in ("cli", "moments", "solver"))
     samplings, folds = [], []
     fold = mom._fold
@@ -453,7 +461,7 @@ def all_run():
         mp.setattr(cli.RunMemo, "DATA", {k: counted(k, v) for k, v in cli.RunMemo.DATA.items()})
         for module in (mom, cli, sol):
             mp.setattr(module, "_fold", counted_fold)
-        result = run(load_config(), "all")
+        result = run(_csv_config(), "all")
     assert result["overall"]
     return result, samplings, folds
 
@@ -490,7 +498,7 @@ def _parts(result, name):
 def test_diagonal_alone_reads_what_all_reads(all_run):
     # in ``all`` the diagonal restrictions are taken in ``moments``' reduction
     every, _, _ = all_run
-    alone = run(load_config(), "diagonal")
+    alone = run(_csv_config(), "diagonal")
     assert _parts(alone, "diagonal") == _parts(every, "diagonal")
 
 
@@ -503,9 +511,33 @@ def test_moments_alone_takes_no_diagonal(monkeypatch, all_run):
         return fold(g, blocks, J, l1, freqs)
 
     monkeypatch.setattr(cli, "_fold", counted_fold)
-    alone = run(load_config(), "moments")
+    alone = run(_csv_config(), "moments")
     assert asked == [None, None]
     assert _parts(alone, "moments") == _parts(all_run[0], "moments")
+
+
+def test_json_run_holds_no_csv_dump(monkeypatch):
+    # a JSON run drops solve's field once the pipeline returns: nothing holds
+    # it while the next pipeline runs, nor in the result
+    cli = importlib.import_module("dbarkit.cli")
+    fields = []
+
+    def solve(cfg, memo):
+        checks, extra = cli.pipe_solve(cfg, memo)
+        fields.append(weakref.ref(extra["_csv"]["u"]))
+        return checks, extra
+
+    def after(cfg, memo):
+        gc.collect()
+        fields.append(fields[0]())
+        return [], {}
+
+    monkeypatch.setattr(cli, "PIPELINES", {"solve": solve, "after": after})
+    cfg = load_config(overrides={"grid": {"n": 64}})
+    result = run(cfg, "all")
+    assert fields[1] is None and result["_csv"] == {}
+    cfg["output"]["format"] = "csv"
+    assert list(run(cfg, "all")["_csv"]) == ["solve_u"]
 
 
 def test_memo_keeps_a_reduction_but_not_the_datum_it_sampled():

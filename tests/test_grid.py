@@ -68,14 +68,23 @@ def test_nodes_match_the_meshgrid_sum(n):
 @pytest.mark.parametrize("n, radius, r", [(8, 3.0, 1.0), (9, 3.0, 0.0), (65, 3.0, 2.5),
                                           (256, 3.7, 3.7), (255, 6.0, 9.0), (16, 1e-150, 1e-151)])
 def test_disk_reads_the_full_grid_disk(n, radius, r):
-    # the disk's square of axis lines gathers what a full-grid mask does, in
-    # the same order, nodes and moduli to the bit
+    # the disk's blocks of its square of axis lines gather what a full-grid
+    # mask does, in the same order, nodes and moduli to the bit, each block
+    # filling its own slice of the disk's node list
     g = build_grid(radius, n)
     Z = g.nodes
     disk = np.abs(Z) <= r
     a = np.arange(n * n).reshape(n, n)
-    box, inside, z, mod = grid._disk(g, r)
-    assert np.array_equal(a[box, box][inside], a[disk])
+    d = grid._disk(g, r)
+    got, z, mod = (np.empty(d.size, dtype=t) for t in (a.dtype, complex, float))
+    stop = 0
+    for rows, inside, at, zb in d:
+        assert at.start == stop and rows.start >= d.box.start and rows.stop <= d.box.stop
+        got[at], z[at] = a[rows, d.box][inside], zb
+        np.abs(zb, out=mod[at])
+        stop = at.stop
+    assert stop == d.size == np.count_nonzero(disk)
+    assert np.array_equal(got, a[disk])
     assert np.array_equal(z.view(np.int64), Z[disk].view(np.int64))
     assert np.array_equal(mod, np.abs(Z[disk]))
 

@@ -2,6 +2,7 @@ import contextlib
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 from math import lgamma, pi, sqrt
 
 import numpy as np
@@ -20,6 +21,7 @@ from dbarkit.solver import (
     support_radius,
     uniqueness_probe,
 )
+from dbarkit.weights import EXP_CAP
 from oracles import (U, check_hormander_bound_full_grid, fft_convolution_bound, fft_error, gamma,
                      solve_sides_full_grid)
 
@@ -719,6 +721,103 @@ def test_uniqueness_probe_overflow_guard(grid_default):
     with pytest.raises(DynamicRangeError) as exc:
         uniqueness_probe(grid_default, fock_weight(30.0))
     assert exc.value.node_index is not None
+
+
+def _right_half_overflow():
+    """fock(1) but for phi = 400 where x > 1: 2 phi passes EXP_CAP there only,
+    so the disks' first offending block is not their first block."""
+    w = fock_weight(1.0)
+    return replace(w, name="right", phi=lambda z: np.where(z.real > 1.0, 400.0, w.phi(z)))
+
+
+def _disk_nodes(g, r):
+    """The nodes of the full grid with |z| <= r, in row-major order."""
+    Z = g.nodes
+    return Z[np.abs(Z) <= r]
+
+
+@pytest.mark.parametrize("n, spec", [(64, {"name": "fock", "t": 200.0}), (64, None),
+                                     (512, None)])
+def test_solve_overflow_guard_names_a_disk_node(member, n, spec):
+    # node_index is a flat index into the support disk's row-major node list,
+    # the earlier blocks' nodes counted, and 2 phi passes EXP_CAP at that node
+    g = build_grid(6.0, n)
+    w = custom_weight(spec) if spec else _right_half_overflow()
+    f = member.sample_dbar(g)
+    with pytest.raises(DynamicRangeError, match="2 phi reaches") as exc:
+        solve_dbar(f, w)
+    z = _disk_nodes(g, support_radius(f) + 2.0 * g.spacing)[exc.value.node_index]
+    assert 2.0 * w.phi(z) > EXP_CAP
+    assert spec or z.real > 1.0
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_uniqueness_overflow_guard_names_a_disk_node(n):
+    g = build_grid(6.0, n)
+    w = _right_half_overflow()
+    with pytest.raises(DynamicRangeError) as exc:
+        uniqueness_probe(g, w)
+    z = _disk_nodes(g, max(solver.UNIQUENESS_RADII))[exc.value.node_index]
+    assert 2.0 * w.phi(z) > EXP_CAP and z.real > 1.0
+
+
+def _sharpness_datum(n):
+    """-z e^{-|z|^2} on the R = 6 grid of n nodes a side, dense to the corners."""
+    return sample(lambda z: -z * np.exp(-np.abs(z) ** 2), build_grid(6.0, n))
+
+
+# one block's working set: four complex arrays of ``BLOCK_NODES`` nodes, about
+# the most a row block, disk block or moment-fold block keeps alive at once
+BLOCK_SET = 4 * 16 * grid.BLOCK_NODES
+
+
+def test_solve_streams_the_dense_disk_to_the_bit(fock):
+    # at n = 512 the support disk of the dense sharpness datum spans 31 blocks
+    f = _sharpness_datum(512)
+    rep = solve_dbar(f, fock)
+    ref = solve_sides_full_grid(f, rep.u, fock)
+    got = (rep.h2_lhs, rep.h2_rhs, rep.tail_mass)
+    assert np.array_equal(np.array(got).view(np.int64), np.array(ref).view(np.int64))
+
+
+def test_solve_peak_memory(fock, monkeypatch):
+    # n = 512 on one thread, the dense sharpness datum: u and the residual's
+    # spectral buffer, 4 MiB each, the two disk-length term vectors, 2.9 MiB,
+    # and one block's working set, 2 MiB: 12.9 MiB in all.  Measured 8.76 MiB
+    # (u and the residual's buffer with a row block's symbol and product), a
+    # margin of 4.1 MiB; the gathered disk with n x n residual, magnitude and
+    # index arrays peaked at 24.09 MiB
+    monkeypatch.setattr(grid, "_usable_cpus", lambda: 1)
+    n = 512
+    f = _sharpness_datum(n)
+    size = grid._disk(f.grid, support_radius(f) + 2.0 * f.grid.spacing).size
+    solve_dbar(f, fock)  # numpy's FFT plan caches fill on the first call
+    tracemalloc.start()
+    try:
+        solve_dbar(f, fock)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 16 * n * n + 2 * 8 * size + BLOCK_SET
+
+
+def test_uniqueness_probe_peak_memory(fock, monkeypatch):
+    # n = 512 on one thread: over the |z| <= 6 disk's nodes, the density and
+    # one degree's density vector, six |z| < r masks and one masked gather,
+    # 30 bytes a node, 5.9 MiB; and one block's working set, 2 MiB: 7.9 MiB in
+    # all.  Measured 6.19 MiB, a margin of 1.7 MiB; the gathered disk with its
+    # nodes and a box of nodes and moduli peaked at 14.00 MiB
+    monkeypatch.setattr(grid, "_usable_cpus", lambda: 1)
+    g = build_grid(6.0, 512)
+    size = grid._disk(g, max(solver.UNIQUENESS_RADII)).size
+    uniqueness_probe(g, fock)
+    tracemalloc.start()
+    try:
+        uniqueness_probe(g, fock)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * size + BLOCK_SET
 
 
 def test_uniqueness_probe_rejects_bad_inputs(grid_default, fock):
